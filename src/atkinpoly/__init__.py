@@ -31,7 +31,7 @@ from .atkin import (
     kz_explicit,
 )
 from .exact import Rational, catalan, gen_binom, parse_rational, pochhammer, rat_str
-from .fp import Fp2Element, FpPoly, fp_gcd
+from .fp import FpPoly, fp_gcd
 from .genfun import (
     DeltaEpsilon,
     GenUYResult,

@@ -265,7 +265,7 @@ def _cmd_gram(args):
     matrix = [[weight.gram(m, k) for k in range(size)] for m in range(size)]
     inputs = {"n": args.n}
     results = {"matrix": matrix, "precision": _PRECISION}
-    provenance = {"matrix": "doubly adaptive quadrature against the weight"}
+    provenance = {"matrix": "tanh-sinh quadrature against the weight, split at 864"}
     return inputs, results, provenance, 0
 
 
@@ -282,7 +282,7 @@ def _cmd_supersingular(args):
     inputs = {"pmax": args.pmax}
     results = {"records": records}
     provenance = {
-        "records": "elliptic-curve point counts over the quadratic extension field"
+        "records": "Hasse invariant over F_p against the recurrence reduced mod p"
     }
     return inputs, results, provenance, 2 if bad else 0
 
@@ -308,9 +308,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.add_argument(
-            "--json", action="store_true", help="compact JSON output (the default)"
-        )
         return p
 
     p = add("atkin", _cmd_atkin, "coefficients of an Atkin polynomial")
@@ -365,7 +362,7 @@ def build_parser() -> _Parser:
     p = add("gram", _cmd_gram, "Gram matrix of the first Atkin polynomials")
     p.add_argument("--n", type=int, required=True, help="largest degree, at most 8")
 
-    p = add("supersingular", _cmd_supersingular, "reduction check against point counts")
+    p = add("supersingular", _cmd_supersingular, "reduction check against the Hasse invariant")
     p.add_argument("--pmax", type=int, required=True)
 
     add("selftest", _cmd_selftest, "run the full acceptance suite")

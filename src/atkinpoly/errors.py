@@ -10,12 +10,8 @@ class DomainError(AtkinError):
 
 
 class NonConvergent(AtkinError):
-    """A series evaluation cannot meet its tolerance (bad preconditions
-    or the term cap was reached)."""
-
-
-class NoConvergence(AtkinError):
-    """Adaptive quadrature hit its refinement cap before converging."""
+    """A series or quadrature cannot meet its tolerance (bad
+    preconditions, or the term or level cap was reached)."""
 
 
 class DenominatorPole(AtkinError):
@@ -36,10 +32,6 @@ class ComplexBranch(AtkinError):
 
 class InvalidPrime(AtkinError):
     """The prime argument is composite or smaller than 5."""
-
-
-class InternalError(AtkinError):
-    """An internal consistency condition failed; indicates a bug."""
 
 
 class InternalInconsistency(AtkinError):

@@ -1,12 +1,6 @@
-"""Small prime-field toolbox: F_p polynomials and F_{p^2} elements.
-
-F_{p^2} is realized as F_p[u]/(u^2 - d) with d a fixed quadratic
-non-residue; every element is a pair (a, b) meaning a + b*u.
-"""
+"""Small prime-field toolbox: polynomials over F_p."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class FpPoly:
@@ -75,66 +69,3 @@ def fp_gcd(f: FpPoly, g: FpPoly) -> FpPoly:
     while not g.is_zero():
         f, g = g, fp_divmod(f, g)[1]
     return f.monic()
-
-
-@dataclass(frozen=True)
-class Fp2Element:
-    """a + b*u in F_p[u]/(u^2 - d); d must be a non-residue mod p."""
-
-    p: int
-    d: int
-    a: int
-    b: int
-
-    def _same_field(self, other):
-        if self.p != other.p or self.d != other.d:
-            raise ValueError("mixed fields")
-
-    def __add__(self, other):
-        self._same_field(other)
-        return Fp2Element(self.p, self.d, (self.a + other.a) % self.p, (self.b + other.b) % self.p)
-
-    def __sub__(self, other):
-        self._same_field(other)
-        return Fp2Element(self.p, self.d, (self.a - other.a) % self.p, (self.b - other.b) % self.p)
-
-    def __neg__(self):
-        return Fp2Element(self.p, self.d, (-self.a) % self.p, (-self.b) % self.p)
-
-    def __mul__(self, other):
-        self._same_field(other)
-        p, d = self.p, self.d
-        return Fp2Element(
-            p,
-            d,
-            (self.a * other.a + d * self.b * other.b) % p,
-            (self.a * other.b + self.b * other.a) % p,
-        )
-
-    def inverse(self) -> "Fp2Element":
-        # (a + bu)^-1 = (a - bu)/(a^2 - d b^2); the norm is nonzero for
-        # nonzero elements because d is a non-residue.
-        p, d = self.p, self.d
-        norm = (self.a * self.a - d * self.b * self.b) % p
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in F_p^2")
-        ninv = pow(norm, p - 2, p)
-        return Fp2Element(p, d, (self.a * ninv) % p, (-self.b * ninv) % p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Fp2Element(self.p, self.d, 1, 0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def in_base_field(self) -> bool:
-        return self.b == 0

@@ -82,13 +82,6 @@ def pfq(numerator_params, denominator_params, argument) -> Fraction:
     return pfq_terminating(HypSeriesSpec(tuple(numerator_params), tuple(denominator_params), argument))
 
 
-def gamma_real(x: float) -> float:
-    """Gamma on the positive axis, relative error well under 1e-12."""
-    if x <= 0:
-        raise DomainError("gamma_real requires x > 0")
-    return math.gamma(x)
-
-
 def _rgamma(x: float) -> float:
     # reciprocal gamma, zero at the poles; negative non-integer x is fine
     if x <= 0 and x == math.floor(x):

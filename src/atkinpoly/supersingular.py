@@ -1,21 +1,24 @@
 """Number-theoretic cross-check: the degree-n monic polynomial reduced
 mod p against the supersingular polynomial computed from scratch.
 
-The supersingular side never touches the recurrence.  For each j in the
-quadratic extension field, a curve with that j-invariant is built and its
-points counted by a quadratic-character table; the curve is supersingular
-exactly when its trace is divisible by p, and twist-independence of that
-test means any model with the given j works.  Brute force, O(p^4) per
-prime, fine for the supported range.
+The supersingular side never touches the recurrence and never leaves
+F_p.  By Deuring's criterion (Silverman, AEC, Thm V.4.1(b)) the curve
+y^2 = f(x) is supersingular exactly when the coefficient of x^(p-1) in
+f(x)^((p-1)/2) vanishes mod p.  Applied to the family
+y^2 = x^3 + 3t x + 2t, whose j-invariant is 1728 t / (1 + t), that
+coefficient is a polynomial in t (the Hasse invariant); substituting
+t = j / (1728 - j) gives the supersingular j-invariants other than 0
+and 1728, which are added by their congruence conditions.  O(p^2)
+operations in F_p per prime.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import comb
 
 from .atkin import atkin
-from .errors import DomainError, InternalError, InvalidPrime
-from .fp import Fp2Element, FpPoly
+from .errors import DenominatorNotInvertible, DomainError, InvalidPrime
+from .fp import FpPoly
 from .ratpoly import reduce_mod_p
 
 
@@ -30,53 +33,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _smallest_nonresidue(p: int) -> int:
-    squares = {(i * i) % p for i in range(p)}
-    for d in range(2, p):
-        if d not in squares:
-            return d
-    raise InternalError("no quadratic non-residue found for p=%d" % p)
+def _hasse_coeffs(p: int) -> list:
+    """Hasse invariant of y^2 = x^3 + 3t x + 2t as ascending coefficients
+    in t, with its power of t (the singular curve t = 0) divided out.
 
-
-def _supersingular_js(p: int):
-    """All supersingular j-invariants in F_{p^2}, as (a, b) pairs with
-    j = a + b u, u^2 = d."""
-    d = _smallest_nonresidue(p)
-    n2 = p * p
-    # element index a*p + b
-    A, B = np.divmod(np.arange(n2, dtype=np.int64), p)
-    sq_idx = ((A * A + d * B * B) % p) * p + (2 * A * B) % p
-    chi = -np.ones(n2, dtype=np.int64)
-    chi[sq_idx] = 1
-    chi[0] = 0
-    x2a, x2b = (A * A + d * B * B) % p, (2 * A * B) % p
-    x3a, x3b = (x2a * A + d * x2b * B) % p, (x2a * B + x2b * A) % p
-
-    def inv(a, b):
-        den = (a * a - d * b * b) % p
-        dinv = pow(int(den), p - 2, p)
-        return (a * dinv) % p, (-b * dinv) % p
-
-    def mul(a1, b1, a2, b2):
-        return (a1 * a2 + d * b1 * b2) % p, (a1 * b2 + b1 * a2) % p
-
-    out = []
-    for ja in range(p):
-        for jb in range(p):
-            if ja == 0 and jb == 0:
-                fa, fb = (x3a + 1) % p, x3b
-            elif ja == 1728 % p and jb == 0:
-                fa, fb = (x3a + A) % p, (x3b + B) % p
-            else:
-                ia, ib = inv((1728 - ja) % p, (-jb) % p)
-                aa, ab = mul(3 * ja % p, 3 * jb % p, ia, ib)
-                ba, bb = mul(2 * ja % p, 2 * jb % p, ia, ib)
-                fa = (x3a + aa * A + d * ab * B + ba) % p
-                fb = (x3b + aa * B + ab * A + bb) % p
-            # trace of Frobenius is -sum chi(f(x)); supersingular iff p | trace
-            if int(chi[fa * p + fb].sum()) % p == 0:
-                out.append((ja, jb))
-    return out, d
+    With m = (p-1)/2, the term x^(3i) (3t x)^(p-1-3i) (2t)^(2i-m) of
+    f^m has x-degree p-1 and t-degree m-i.  Every coefficient is a
+    multinomial of numbers below p times powers of 2 and 3, so none
+    vanishes mod p; in particular the first and last do not, so the
+    substituted polynomial has no root at j = 0 or j = 1728.
+    """
+    m = (p - 1) // 2
+    lo, hi = (m + 1) // 2, (p - 1) // 3
+    # i = hi gives the lowest power of t; i descends as the power rises
+    return [
+        comb(m, i) * comb(m - i, p - 1 - 3 * i) * pow(3, p - 1 - 3 * i, p) * pow(2, 2 * i - m, p) % p
+        for i in range(hi, lo - 1, -1)
+    ]
 
 
 def ss_poly(p: int) -> FpPoly:
@@ -84,22 +57,19 @@ def ss_poly(p: int) -> FpPoly:
     j-invariants of characteristic p as roots."""
     if p < 5 or not _is_prime(p):
         raise InvalidPrime("p must be a prime >= 5, got %r" % p)
-    js, d = _supersingular_js(p)
-    one = Fp2Element(p, d, 1, 0)
-    coeffs = [one]
-    for ja, jb in js:
-        root = Fp2Element(p, d, ja, jb)
-        shifted = [Fp2Element(p, d, 0, 0)] + coeffs
-        coeffs = [
-            shifted[i] - (root * coeffs[i] if i < len(coeffs) else Fp2Element(p, d, 0, 0))
-            for i in range(len(shifted))
-        ]
-    for c in coeffs:
-        if not c.in_base_field():
-            raise InternalError(
-                "supersingular product has a coefficient outside F_p at p=%d" % p
-            )
-    return FpPoly(p, [c.a for c in coeffs])
+    h = _hasse_coeffs(p)
+    d = len(h) - 1
+    # (1728 - j)^d H(j / (1728 - j)) = sum_k h_k j^k (1728 - j)^(d-k)
+    coeffs = [
+        pow(1728, d - n, p) * sum(h[k] * comb(d - k, n - k) * (-1) ** (n - k) for k in range(n + 1))
+        for n in range(d + 1)
+    ]
+    out = list(FpPoly(p, coeffs).monic().coeffs)
+    if p % 3 == 2:  # j = 0
+        out = [0] + out
+    if p % 4 == 3:  # j = 1728
+        out = [a - 1728 * b for a, b in zip([0] + out, out + [0])]
+    return FpPoly(p, out)
 
 
 def atkin_mod_p(n: int, p: int) -> FpPoly:
@@ -122,7 +92,7 @@ def match_report(p_max: int):
         record = {"p": p, "deg_ss": n}
         try:
             reduced = atkin_mod_p(n, p)
-        except Exception as exc:  # reduction can fail on denominator collisions
+        except DenominatorNotInvertible as exc:
             record["matched"] = None
             record["note"] = "reduction failed: %s" % exc
         else:

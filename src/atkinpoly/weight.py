@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .atkin import atkin
-from .errors import DomainError, InternalInconsistency, NoConvergence
-from .hypergeom import f21_near_one, f21_real, gamma_real
+from .errors import DomainError, InternalInconsistency, NonConvergent
+from .hypergeom import f21_near_one, f21_real
 from .ratpoly import poly_eval_float
 
 _PI = math.pi
@@ -33,7 +33,7 @@ def lambda_star() -> float:
     global _LAMBDA
     if _LAMBDA is not None:
         return _LAMBDA
-    g = gamma_real
+    g = math.gamma
     form1 = g(2.0 / 3.0) * g(5.0 / 12.0) * g(11.0 / 12.0) / (
         g(4.0 / 3.0) * g(1.0 / 12.0) * g(7.0 / 12.0)
     )
@@ -231,7 +231,7 @@ def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int) -> float:
         if level >= 2 and abs(total - prev) <= tol * max(1.0, abs(total)):
             return total
         prev = total
-    raise NoConvergence("tanh-sinh level cap reached on (%r, %r)" % (a, b))
+    raise NonConvergent("tanh-sinh level cap reached on (%r, %r)" % (a, b))
 
 
 _SPLIT = 864.0

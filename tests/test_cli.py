@@ -1,11 +1,13 @@
 """Command-line envelope: shape, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import atkinpoly
 from atkinpoly.cli import main
 
 
@@ -96,6 +98,28 @@ def test_genfun_residual(capsys):
     assert json.loads(out)["results"]["residual"] <= 1e-8
 
 
+def test_provenance_names_the_method(capsys):
+    code, out = _run(capsys, ["gram", "--n", "1"])
+    assert code == 0
+    assert json.loads(out)["provenance"] == {
+        "matrix": "tanh-sinh quadrature against the weight, split at 864"
+    }
+    code, out = _run(capsys, ["supersingular", "--pmax", "13"])
+    assert code == 0
+    env = json.loads(out)
+    assert env["provenance"] == {
+        "records": "Hasse invariant over F_p against the recurrence reduced mod p"
+    }
+    assert env["results"] == {
+        "records": [
+            {"p": 5, "degree": 1, "matched": True},
+            {"p": 7, "degree": 1, "matched": True},
+            {"p": 11, "degree": 2, "matched": True},
+            {"p": 13, "degree": 1, "matched": True},
+        ]
+    }
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["atkin"])  # --n missing
@@ -123,3 +147,15 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["results"]["coefficients"] == ["-720", "1"]
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, atkinpoly, atkinpoly.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

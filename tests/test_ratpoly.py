@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from atkinpoly.errors import DenominatorNotInvertible, DomainError
-from atkinpoly.fp import Fp2Element, FpPoly, fp_divmod, fp_gcd
+from atkinpoly.fp import FpPoly, fp_divmod, fp_gcd
 from atkinpoly.ratpoly import (
     RatPoly,
     affine_substitute,
@@ -129,17 +129,3 @@ def test_fp_gcd_known_factor():
     f = FpPoly(p, (2, 3, 1))
     g = FpPoly(p, (5, 6, 1))
     assert fp_gcd(f, g) == FpPoly(p, (1, 1))
-
-
-def test_fp2_field_axioms():
-    p, d = 11, 7  # 7 is a non-residue mod 11
-    rng = random.Random(2)
-    for _ in range(20):
-        a = Fp2Element(p, d, rng.randrange(p), rng.randrange(p))
-        b = Fp2Element(p, d, rng.randrange(p), rng.randrange(p))
-        if not b.is_zero():
-            assert (a * b) * b.inverse() == a
-        if not a.is_zero():
-            assert a ** (p * p - 1) == Fp2Element(p, d, 1, 0)
-        # Frobenius fixes exactly the base field
-        assert (a**p == a) == a.in_base_field()

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from atkinpoly.errors import DomainError
+from atkinpoly.errors import DomainError, NonConvergent
 from atkinpoly.weight import (
+    _tanh_sinh_piece,
     default_context,
     f_and_fstar,
     gram,
@@ -153,3 +154,9 @@ def test_gram_diagonal_ratios_follow_recurrence_products():
 def test_gram_degree_limit():
     with pytest.raises(DomainError):
         gram(0, 9)
+
+
+def test_quadrature_level_cap_raises():
+    # 1/x is not integrable on (0, 1): the level sums keep growing
+    with pytest.raises(NonConvergent):
+        _tanh_sinh_piece(lambda x, d0, d1: 1.0 / d0, 0.0, 1.0, 1e-10, 3)
