@@ -19,7 +19,7 @@ from .atkin import atkin_normalized
 from .errors import DomainError, InternalInconsistency, ParameterDegeneracy
 from .exact import pochhammer
 from .hypergeom import pfq
-from .ratpoly import RatPoly, affine_substitute
+from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
 
 _F = Fraction
 
@@ -145,38 +145,38 @@ def _check_recurrence_range(params: AJParams, nmax: int):
             raise ParameterDegeneracy("recurrence denominator vanishes at index %d" % m)
 
 
+# Per-process cache of one recurrence engine per (alpha, beta, c, variant),
+# append-only and unbounded; filling it is single-threaded.
 _FAMILY_CACHE: dict = {}
 
 
-def _assoc_family(params: AJParams, variant: Variant, n: int) -> list:
+def _assoc_family(params: AJParams, variant: Variant, n: int) -> RatPoly:
     key = (params.alpha, params.beta, params.c, variant)
-    polys = _FAMILY_CACHE.setdefault(key, [])
-    if not polys:
+    family = _FAMILY_CACHE.get(key)
+    if family is None:
         lam0, mu0 = aj_rates(params, 0, variant)
-        polys.append(RatPoly.one())
-        polys.append(RatPoly((-(lam0 + mu0), 1)))
-    if len(polys) <= n:
+        family = _FAMILY_CACHE[key] = MonicRecurrence(
+            (RatPoly.one(), RatPoly((-(lam0 + mu0), 1))),
+            lambda m: _vrec_shift(params, m),
+            lambda m: _vrec_prod(params, m),
+        )
+    if len(family) <= n:
         _check_recurrence_range(params, n)
-    while len(polys) <= n:
-        m = len(polys) - 1
-        shift = _vrec_shift(params, m)
-        prod = _vrec_prod(params, m)
-        polys.append(RatPoly((-shift, 1)) * polys[m] - prod * polys[m - 1])
-    return polys
+    return family.poly(n)
 
 
 def assoc_V(n: int, params: AJParams) -> RatPoly:
     """Monic associated polynomial V_n, index-zero death rate included."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    return _assoc_family(params, Variant.V, n)[n]
+    return _assoc_family(params, Variant.V, n)
 
 
 def assoc_calV(n: int, params: AJParams) -> RatPoly:
     """Monic associated polynomial with the index-zero death rate dropped."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    return _assoc_family(params, Variant.CALV, n)[n]
+    return _assoc_family(params, Variant.CALV, n)
 
 
 def _explicit_pref(n: int, params: AJParams) -> Fraction:

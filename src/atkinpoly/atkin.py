@@ -2,10 +2,10 @@
 
 Two scales are maintained: the original family A_n, orthogonal on
 (0, 1728), and the normalized family with A_n(1728 y)/1728^n living on
-(0, 1).  Both are generated by their three-term recurrences; the
-normalized cache is additionally cross-checked coefficient by
-coefficient against the affine rescaling of the original one, so a bug
-in either recurrence cannot stay silent.
+(0, 1).  Both are generated by their three-term recurrences through
+``ratpoly.MonicRecurrence``; the normalized cache is additionally
+cross-checked coefficient by coefficient against the affine rescaling of
+the original one, so a bug in either recurrence cannot stay silent.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistency
-from .exact import gen_binom, pochhammer
-from .ratpoly import RatPoly, affine_substitute
+from .exact import gen_binom_seq, pochhammer
+from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
 
 _F = Fraction
 
@@ -51,37 +51,10 @@ _SEEDS_NORMALIZED = (
 )
 
 
-class AtkinFamily:
-    """Append-only polynomial cache for one scale.
-
-    The cache grows sequentially; concurrent reads are safe only after a
-    sequential fill.
-    """
-
-    def __init__(self, scale: str = "original"):
-        if scale not in ("original", "normalized"):
-            raise ValueError("scale must be 'original' or 'normalized'")
-        self.scale = scale
-        if scale == "original":
-            self._cache = list(_SEEDS_ORIGINAL)
-            self._shift, self._prod = _orig_shift, _orig_prod
-        else:
-            self._cache = list(_SEEDS_NORMALIZED)
-            self._shift, self._prod = _norm_shift, _norm_prod
-
-    def poly(self, n: int) -> RatPoly:
-        if n < 0:
-            raise DomainError("degree must be nonnegative")
-        cache = self._cache
-        while len(cache) <= n:
-            m = len(cache) - 1  # recurrence index producing degree m+1
-            nxt = RatPoly((-self._shift(m), 1)) * cache[m] - self._prod(m) * cache[m - 1]
-            cache.append(nxt)
-        return cache[n]
-
-
-_ORIGINAL = AtkinFamily("original")
-_NORMALIZED = AtkinFamily("normalized")
+# Per-process caches, append-only and unbounded; filling them (and
+# advancing _verified_to) is single-threaded.
+_ORIGINAL = MonicRecurrence(_SEEDS_ORIGINAL, _orig_shift, _orig_prod)
+_NORMALIZED = MonicRecurrence(_SEEDS_NORMALIZED, _norm_shift, _norm_prod)
 _verified_to = 2  # seed degrees checked by construction
 
 
@@ -123,23 +96,20 @@ def kz_explicit(n: int) -> RatPoly:
 
     The coefficient of x^(n-i) is a sum over m of signed products of four
     generalized binomials divided by a binomial in 2n-1; evaluated
-    exactly, it must reproduce the recurrence output.
+    exactly, it must reproduce the recurrence output.  Each of the five
+    binomial sequences is built once, by term ratios.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
+    b1, b2, b3, b4, b5 = (
+        gen_binom_seq(a, n + 1)
+        for a in (_F(-1, 12), _F(-5, 12), n + _F(1, 12), n - _F(7, 12), 2 * n - 1)
+    )
+    left = [x * y for x, y in zip(b1, b2)]  # the factors indexed by i - m
+    right = [(-1) ** m * b3[m] * b4[m] / b5[m] for m in range(n + 1)]
     coeffs = [Fraction(0)] * (n + 1)
     for i in range(n + 1):
-        acc = Fraction(0)
-        for m in range(i + 1):
-            acc += (
-                (-1) ** m
-                * gen_binom(_F(-1, 12), i - m)
-                * gen_binom(_F(-5, 12), i - m)
-                * gen_binom(n + _F(1, 12), m)
-                * gen_binom(n - _F(7, 12), m)
-                / gen_binom(2 * n - 1, m)
-            )
-        coeffs[n - i] = acc
+        coeffs[n - i] = sum((left[i - m] * right[m] for m in range(i + 1)), Fraction(0))
     return RatPoly(coeffs)
 
 

@@ -41,6 +41,13 @@ from .hypergeom import atkin_asymptotic
 
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
+# Largest --n of the exact subcommands (atkin, assoc-jacobi, rep-check,
+# explicit-check).  The slowest of them at the cap, explicit-check --form
+# hypergeometric, takes a few seconds; without a cap, the coefficients of
+# A_n pass Python's 4300-digit int-to-str limit by n of about 1600.
+MAX_EXACT_DEGREE = 200
+_EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -81,11 +88,17 @@ def _emit(command, inputs, results, provenance, pretty: bool):
     print(text)
 
 
+def _check_exact_degree(n: int):
+    if n > MAX_EXACT_DEGREE:
+        raise DomainError("--n capped at %d for exact subcommands" % MAX_EXACT_DEGREE)
+
+
 def _params_from(args) -> aj.AJParams:
     return aj.AJParams(args.alpha, args.beta, args.c)
 
 
 def _cmd_atkin(args):
+    _check_exact_degree(args.n)
     poly = atkin(args.n) if args.scale == "original" else atkin_normalized(args.n)
     inputs = {"n": args.n, "scale": args.scale}
     results = {"degree": args.n, "coefficients": _coeff_strings(poly)}
@@ -94,6 +107,7 @@ def _cmd_atkin(args):
 
 
 def _cmd_assoc_jacobi(args):
+    _check_exact_degree(args.n)
     params = _params_from(args)
     fn = aj.assoc_V if args.variant == "V" else aj.assoc_calV
     poly = fn(args.n, params)
@@ -113,6 +127,7 @@ _REP_NAMES = {"rep1": "Rep1", "rep2": "Rep2", "rep3": "Rep3"}
 
 
 def _cmd_rep_check(args):
+    _check_exact_degree(args.n)
     which = _REP_NAMES[args.which]
     kwargs = {}
     inputs = {"n": args.n, "which": args.which}
@@ -137,6 +152,7 @@ def _cmd_rep_check(args):
 
 
 def _cmd_explicit_check(args):
+    _check_exact_degree(args.n)
     inputs = {"n": args.n, "form": args.form}
     if args.form == "binomial":
         candidate = kz_explicit(args.n)
@@ -311,23 +327,23 @@ def build_parser() -> _Parser:
         return p
 
     p = add("atkin", _cmd_atkin, "coefficients of an Atkin polynomial")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
     p.add_argument("--scale", choices=("original", "normalized"), default="original")
 
     p = add("assoc-jacobi", _cmd_assoc_jacobi, "coefficients of an associated polynomial")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--beta", type=_rational, required=True)
     p.add_argument("--c", type=_rational, required=True)
     p.add_argument("--variant", choices=("V", "calV"), default="V")
 
     p = add("rep-check", _cmd_rep_check, "compare a representation with the recurrence")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
     p.add_argument("--which", choices=tuple(_REP_NAMES), required=True)
     p.add_argument("--rep1-coeff", type=_rational, default=None)
 
     p = add("explicit-check", _cmd_explicit_check, "compare an explicit formula with the recurrence")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
     p.add_argument(
         "--form",
         choices=("binomial", "hypergeometric", "assoc-v", "assoc-calv"),

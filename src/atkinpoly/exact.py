@@ -40,6 +40,16 @@ def gen_binom(a, k: int) -> Fraction:
     return out / math.factorial(k)
 
 
+def gen_binom_seq(a, count: int) -> list:
+    """[gen_binom(a, k) for k in range(count)], each term from the one
+    before by the ratio (a - k)/(k + 1)."""
+    a = Fraction(a)
+    out = [Fraction(1)] if count > 0 else []
+    for k in range(count - 1):
+        out.append(out[-1] * (a - k) / (k + 1))
+    return out
+
+
 def catalan(n: int) -> int:
     """Catalan number binomial(2n, n)/(n+1)."""
     if n < 0:

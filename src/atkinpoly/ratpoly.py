@@ -1,4 +1,5 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, and the engine that
+generates the members of a monic three-term recurrence.
 
 Coefficients are stored ascending by degree with trailing zeros trimmed,
 so the zero polynomial is the empty tuple and the leading coefficient of
@@ -9,6 +10,7 @@ belongs to the numeric modules.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DenominatorNotInvertible, DomainError
 from .fp import FpPoly
@@ -22,6 +24,14 @@ class RatPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _from_fractions(cls, coeffs) -> "RatPoly":
+        """Wrap Fractions that already have a nonzero last entry, skipping
+        the conversion and trimming of __init__."""
+        p = object.__new__(cls)
+        p.coeffs = tuple(coeffs)
+        return p
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -127,16 +137,91 @@ def poly_eval_float(p: RatPoly, x: float) -> float:
 
 
 def affine_substitute(p: RatPoly, a, b) -> RatPoly:
-    """Return q with q(x) = p(a*x + b), exactly."""
+    """Return q with q(x) = p(a*x + b), exactly.
+
+    A Taylor shift by b (O(n^2), skipped when b = 0) gives p(x + b);
+    scaling its coefficient of x^j by a^j then gives p(a*x + b) in O(n).
+    """
     a = Fraction(a)
     b = Fraction(b)
     if a == 0:
         raise DomainError("degenerate affine substitution: a = 0")
-    arg = RatPoly((b, a))
-    out = RatPoly(())
-    for c in reversed(p.coeffs):
-        out = out * arg + c
-    return out
+    cs = list(p.coeffs)
+    if b:
+        # synthetic division by (x - b), repeated: pass i fixes coefficient i
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += b * cs[j + 1]
+    power = Fraction(1)
+    for j in range(len(cs)):
+        cs[j] *= power
+        power *= a
+    return RatPoly._from_fractions(cs)
+
+
+class MonicRecurrence:
+    """Members of the monic three-term recurrence
+
+        P_{m+1} = (x - shift(m)) P_m - prod(m) P_{m-1}
+
+    started from ``seeds`` = (P_0, ..., P_s), s >= 1; ``shift(m)`` and
+    ``prod(m)`` are ints or Fractions, asked for from m = s on.
+
+    A step reads the last two members only.  Each is held as a list of
+    integer numerators over one common denominator, reduced by their gcd
+    once per degree, so a step costs O(m) integer operations and no
+    Fraction arithmetic.  Every member is cached as a RatPoly as the
+    engine passes it.  The cache is append-only and unbounded, and lives
+    as long as the object; filling it is not thread-safe.
+    """
+
+    def __init__(self, seeds, shift, prod):
+        self._polys = list(seeds)
+        self._shift = shift
+        self._prod = prod
+        self._prev = _over_common_denominator(self._polys[-2])
+        self._cur = _over_common_denominator(self._polys[-1])
+
+    def __len__(self) -> int:
+        """Number of members cached so far."""
+        return len(self._polys)
+
+    def poly(self, n: int) -> RatPoly:
+        """P_n, generating and caching every member up to it."""
+        if n < 0:
+            raise DomainError("degree must be nonnegative")
+        polys = self._polys
+        while len(polys) <= n:
+            polys.append(self._step(len(polys) - 1))
+        return polys[n]
+
+    def _step(self, m: int) -> RatPoly:
+        (prev, prev_den), (cur, cur_den) = self._prev, self._cur
+        s = self._shift(m)
+        q = self._prod(m)
+        # P_{m+1} = x*cur/cur_den - s*cur/cur_den - q*prev/prev_den, over den
+        den = lcm(cur_den * s.denominator, prev_den * q.denominator)
+        u = den // cur_den
+        v = s.numerator * (u // s.denominator)
+        w = q.numerator * (den // (prev_den * q.denominator))
+        nxt = [0] + [u * c for c in cur]
+        for i, c in enumerate(cur):
+            nxt[i] -= v * c
+        for i, c in enumerate(prev):
+            nxt[i] -= w * c
+        g = gcd(den, *nxt)
+        if g > 1:
+            nxt = [c // g for c in nxt]
+            den //= g
+        self._prev, self._cur = self._cur, (nxt, den)
+        return RatPoly._from_fractions([Fraction(c, den) for c in nxt])
+
+
+def _over_common_denominator(p: RatPoly):
+    """(numerators, d) with p = sum numerators[j] x^j / d and d the least
+    common denominator of p's coefficients."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def reduce_mod_p(p: RatPoly, prime: int) -> FpPoly:

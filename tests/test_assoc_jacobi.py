@@ -103,6 +103,16 @@ def test_rates_degenerate_denominator():
         aj_rates(AJParams(F(0), F(0), F(0)), 0, Variant.V)
 
 
+def test_recurrence_degenerate_index():
+    # alpha + beta + 2c = -5: the index-2 step divides by s - 1 = 0
+    params = AJParams(F(0), F(0), F(-5, 2))
+    assert assoc_V(2, params).degree() == 2
+    with pytest.raises(ParameterDegeneracy, match="index 2"):
+        assoc_V(3, params)
+    with pytest.raises(ParameterDegeneracy, match="index 2"):
+        assoc_calV(40, params)
+
+
 def test_explicit_forms_match_recurrences():
     for params in S_SET:
         for n in range(13):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import atkinpoly
-from atkinpoly.cli import main
+from atkinpoly.cli import MAX_EXACT_DEGREE, main
 
 
 def _run(capsys, argv):
@@ -137,6 +137,31 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_exact_degree_cap(capsys):
+    over = str(MAX_EXACT_DEGREE + 1)
+    for argv in (
+        ["assoc-jacobi", "--n", over, "--alpha", "1/2", "--beta", "-2/3", "--c", "7/12"],
+        ["rep-check", "--n", over, "--which", "rep2"],
+        ["explicit-check", "--n", over, "--form", "hypergeometric"],
+    ):
+        assert main(argv) == 1
+        assert "capped at %d" % MAX_EXACT_DEGREE in capsys.readouterr().err
+    code, out = _run(capsys, ["atkin", "--n", str(MAX_EXACT_DEGREE)])
+    assert code == 0
+    assert len(json.loads(out)["results"]["coefficients"]) == MAX_EXACT_DEGREE + 1
+    src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "atkinpoly.cli", "atkin", "--n", over],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "capped at %d" % MAX_EXACT_DEGREE in proc.stderr
 
 
 def test_console_script_installed():

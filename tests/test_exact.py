@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from atkinpoly.exact import catalan, gen_binom, parse_rational, pochhammer, rat_str
+from atkinpoly.exact import catalan, gen_binom, gen_binom_seq, parse_rational, pochhammer, rat_str
 
 
 def test_pochhammer_base_cases():
@@ -41,6 +41,13 @@ def test_gen_binom_fractional():
     a = F(-5, 12)
     for k in range(6):
         assert gen_binom(a, k) == (-1) ** k * gen_binom(k - a - 1, k)
+
+
+def test_gen_binom_seq_matches_gen_binom():
+    for a in (F(-1, 12), F(-5, 12), F(37, 12), 7, -1):
+        assert gen_binom_seq(a, 12) == [gen_binom(a, k) for k in range(12)]
+    assert gen_binom_seq(F(1, 2), 1) == [1]
+    assert gen_binom_seq(F(1, 2), 0) == []
 
 
 def test_catalan_sequence():
