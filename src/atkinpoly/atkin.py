@@ -140,6 +140,27 @@ def atkin_at_one(n: int) -> Fraction:
     )
 
 
+def _endpoint_seq(first: Fraction, p: int, q: int, sign: int, nmax: int):
+    # first * sign^m (p/12)_m (q/12)_m / (2m+1)! for m = 0..nmax-1, each
+    # term from the one before it by its ratio
+    out = []
+    v = first
+    for m in range(nmax):
+        out.append(v)
+        v *= _F(sign * (p + 12 * m) * (q + 12 * m), 144 * (2 * m + 2) * (2 * m + 3))
+    return out
+
+
+def atkin_at_zero_seq(nmax: int):
+    """[atkin_at_zero(n) for n in 1..nmax], by term ratios in O(nmax) steps."""
+    return _endpoint_seq(_F(-5, 12), 11, 17, -1, nmax)
+
+
+def atkin_at_one_seq(nmax: int):
+    """[atkin_at_one(n) for n in 1..nmax], by term ratios in O(nmax) steps."""
+    return _endpoint_seq(_F(7, 12), 11, 19, 1, nmax)
+
+
 def atkin_normalized_value_seq(nmax: int, x: float):
     """Float values of the normalized polynomials at x, degrees 0..nmax.
 

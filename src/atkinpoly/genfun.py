@@ -10,10 +10,11 @@ the CLI are modest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .atkin import atkin_at_one, atkin_at_zero, atkin_normalized_value_seq
+from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
 from .errors import ComplexBranch, DomainError
 from .exact import catalan
 from .hypergeom import c_and_d, f21_profile_seq, f21_real, u_and_y_seq
@@ -122,6 +123,28 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
     return GenUYResult(lhs_u, rhs_u, lhs_y, rhs_y)
 
 
+@functools.cache
+def _max_catalan_horizon() -> int:
+    """Largest N for which catalan(N + 1) still converts to a double."""
+    n, cat = 0, 1  # cat = catalan(n + 1)
+    while True:
+        cat = cat * 2 * (2 * n + 3) // (n + 3)  # catalan(n + 2), by its ratio
+        try:
+            float(cat)
+        except OverflowError:
+            return n
+        n += 1
+
+
+def _check_catalan_horizon(N: int):
+    # the Catalan sums multiply catalan(n + 1), n <= N, into doubles
+    limit = _max_catalan_horizon()
+    if N > limit:
+        raise DomainError(
+            "N = %d is past %d, the last horizon whose Catalan weight fits a double" % (N, limit)
+        )
+
+
 def catalan_gen_check(x: float, t: float, N: int):
     """Catalan-weighted Atkin generating function: partial sum vs closed form.
 
@@ -135,6 +158,7 @@ def catalan_gen_check(x: float, t: float, N: int):
         raise DomainError("|t| must be below 1")
     if N < 1:
         raise DomainError("N must be positive")
+    _check_catalan_horizon(N)
     vals = atkin_normalized_value_seq(N + 1, x)
     lhs = 0.0
     for n in range(N + 1):
@@ -169,9 +193,11 @@ def gen_at_zero(t: float, N: int):
     """
     if abs(t) >= 1.0:
         raise DomainError("|t| must be below 1")
+    _check_catalan_horizon(N)
+    ends = atkin_at_zero_seq(N + 1)
     lhs = 0.0
     for n in range(N + 1):
-        lhs += catalan(n + 1) * float(atkin_at_zero(n + 1)) * (-t) ** n
+        lhs += catalan(n + 1) * float(ends[n]) * (-t) ** n
     rhs = -5.0 / 12.0 * f21_real(11.0 / 12.0, 17.0 / 12.0, 3.0, t).value
     return lhs, rhs
 
@@ -180,9 +206,11 @@ def gen_at_one(t: float, N: int):
     """Value of the Catalan-weighted generating function at x = 1."""
     if abs(t) >= 1.0:
         raise DomainError("|t| must be below 1")
+    _check_catalan_horizon(N)
+    ends = atkin_at_one_seq(N + 1)
     lhs = 0.0
     for n in range(N + 1):
-        lhs += catalan(n + 1) * float(atkin_at_one(n + 1)) * t**n
+        lhs += catalan(n + 1) * float(ends[n]) * t**n
     rhs = 7.0 / 12.0 * f21_real(11.0 / 12.0, 19.0 / 12.0, 3.0, t).value
     return lhs, rhs
 

@@ -9,7 +9,9 @@ import pytest
 from atkinpoly.atkin import (
     atkin,
     atkin_at_one,
+    atkin_at_one_seq,
     atkin_at_zero,
+    atkin_at_zero_seq,
     atkin_normalized,
     atkin_normalized_value,
     atkin_normalized_value_seq,
@@ -89,6 +91,16 @@ def test_endpoint_values_match_polynomials():
         p = atkin_normalized(n)
         assert poly_eval(p, F(0)) == atkin_at_zero(n)
         assert poly_eval(p, F(1)) == atkin_at_one(n)
+
+
+def test_endpoint_sequences_match_closed_forms():
+    zeros = atkin_at_zero_seq(200)
+    ones = atkin_at_one_seq(200)
+    assert len(zeros) == len(ones) == 200
+    for n in range(1, 201):
+        assert zeros[n - 1] == atkin_at_zero(n)
+        assert ones[n - 1] == atkin_at_one(n)
+    assert atkin_at_zero_seq(0) == []
 
 
 def test_endpoint_values_printed():

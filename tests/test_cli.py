@@ -184,3 +184,22 @@ def test_import_does_not_load_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_overflowing_degrees_exit_one_without_traceback():
+    src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    for argv in (
+        ["asymptotic", "--n", "540", "--theta", "0.7"],
+        ["genfun", "--which", "at-zero", "--n", "5000", "--t", "0.3"],
+        ["genfun", "--which", "catalan", "--n", "800", "--x", "0.5", "--t", "0.3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "atkinpoly.cli"] + argv,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "error" in proc.stderr

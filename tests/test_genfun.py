@@ -13,6 +13,7 @@ from atkinpoly.atkin import atkin_at_one, atkin_at_zero
 from atkinpoly.errors import ComplexBranch, DomainError
 from atkinpoly.exact import catalan, pochhammer
 from atkinpoly.genfun import (
+    _max_catalan_horizon,
     catalan_gen_check,
     delta_eps,
     fjk_check,
@@ -126,6 +127,18 @@ def test_endpoint_series_zero():
 def test_endpoint_series_one():
     lhs, rhs = gen_at_one(0.15, 40)
     assert abs(lhs - rhs) <= 1e-10
+
+
+def test_catalan_horizon_is_the_last_that_fits_a_double():
+    top = _max_catalan_horizon()
+    float(catalan(top + 1))
+    with pytest.raises(OverflowError):
+        float(catalan(top + 2))
+    for fn, args in ((gen_at_zero, (0.3,)), (gen_at_one, (0.3,)), (catalan_gen_check, (0.5, 0.3))):
+        lhs, rhs = fn(*args, top)
+        assert math.isfinite(lhs) and abs(lhs - rhs) <= 1e-8
+        with pytest.raises(DomainError):
+            fn(*args, top + 1)
 
 
 def test_endpoint_coefficient_identities():

@@ -3,6 +3,7 @@ with honest error estimates, the two recurrence-built solution families,
 and the large-degree asymptotics."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from atkinpoly.errors import DenominatorPole, DomainError, NonConvergent
 from atkinpoly.exact import pochhammer
 from atkinpoly.hypergeom import (
     HypSeriesSpec,
+    _series_f21,
     atkin_asymptotic,
     buv_combination,
     c_and_d,
@@ -225,3 +227,88 @@ def test_combination_coefficients_at_endpoints():
     # both coefficients vanish at the right endpoint
     assert abs(cx1.value) <= 1e-12
     assert abs(dx1.value) <= 1e-12
+
+
+def test_asymptotic_refuses_the_overflow_degrees():
+    # 2^(2n+1) is a finite double up to n = 511
+    assert math.isfinite(atkin_asymptotic(511, 0.7))
+    for n in (512, 540, 10**6):
+        with pytest.raises(DomainError):
+            atkin_asymptotic(n, 0.7)
+
+
+def _series_f21_reference(a, b, c, x, tol):
+    """The Gauss series loop as first written, with builtin abs/max calls
+    in the loop; the production kernel must reproduce it bit for bit."""
+    total = 1.0
+    term = 1.0
+    abssum = 1.0
+    big = max(abs(a), abs(b))
+    neg = abs(min(c, 0.0))
+    ax = abs(x)
+    k = 0
+    while k < 10**6:
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        total += term
+        abssum += abs(term)
+        k += 1
+        if term == 0.0:
+            return total, 2.3e-16 * abssum
+        if k > neg + 1.0:
+            q = ax * (k + big) * (k + big) / ((k + 1.0) * (k - neg))
+            if 0.0 < q < 1.0:
+                tail = abs(term) * q / (1.0 - q)
+                if tail <= tol * max(1.0, abs(total)):
+                    return total, tail + 2.3e-16 * abssum
+    raise NonConvergent("2F1 series cap reached at x=%r" % x)
+
+
+def test_series_kernel_matches_reference_bitwise():
+    rng = random.Random(20)
+    for _ in range(3000):
+        a, b, c = (rng.uniform(-4.0, 4.0) for _ in range(3))
+        if rng.random() < 0.2:
+            a = float(-rng.randrange(6))  # terminating series
+        x = rng.uniform(-0.5, 0.5) if rng.random() < 0.5 else rng.uniform(-0.99, 0.99)
+        tol = rng.choice((1e-12, 1e-8, 1e-15))
+        got = _series_f21(a, b, c, x, tol)
+        want = _series_f21_reference(a, b, c, x, tol)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, c, x, tol)
+
+
+# the parameter triples the weight (F, F*) and c_and_d evaluate
+_USED_TRIPLES = (
+    (1.0 / 12.0, 1.0 / 12.0, 2.0 / 3.0),
+    (5.0 / 12.0, 5.0 / 12.0, 4.0 / 3.0),
+    (-5.0 / 12.0, -5.0 / 12.0, -1.0 / 3.0),
+    (-5.0 / 12.0, -5.0 / 12.0, 2.0 / 3.0),
+    (-1.0 / 12.0, -1.0 / 12.0, 1.0 / 3.0),
+    (11.0 / 12.0, -1.0 / 12.0, 4.0 / 3.0),
+)
+
+
+def test_f21_estimate_bounds_true_error_near_one():
+    """Against mpmath at 40 digits, on the connection-formula branch
+    x >= 0.5: random parameters, and the triples the package uses with
+    distances to 1 down to 1e-300 (as the weight supplies them)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    cases = []
+    for _ in range(600):
+        a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+        cases.append((a, b, c, rng.uniform(0.5, 1.0), None))
+    for _ in range(300):
+        a, b, c = rng.choice(_USED_TRIPLES)
+        cases.append((a, b, c, None, 10.0 ** -rng.uniform(0.31, 300.0)))
+    checked = 0
+    for a, b, c, x, s in cases:
+        try:
+            r = f21_real(a, b, c, x) if s is None else f21_near_one(a, b, c, s)
+        except (NonConvergent, ValueError, OverflowError):
+            continue  # c-a-b integer, or a gamma factor out of range
+        with mpmath.workdps(40 if s is None else 40 + int(-math.log10(s))):
+            exact = mpmath.hyp2f1(a, b, c, x if s is None else 1 - mpmath.mpf(s))
+            err = abs(mpmath.mpf(r.value) - exact)
+        assert err <= r.abs_error_estimate, (a, b, c, x, s, r, float(err))
+        checked += 1
+    assert checked >= 850

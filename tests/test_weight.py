@@ -8,6 +8,7 @@ import pytest
 from atkinpoly.errors import DomainError, NonConvergent
 from atkinpoly.weight import (
     _tanh_sinh_piece,
+    _w_core,
     default_context,
     f_and_fstar,
     gram,
@@ -160,3 +161,27 @@ def test_quadrature_level_cap_raises():
     # 1/x is not integrable on (0, 1): the level sums keep growing
     with pytest.raises(NonConvergent):
         _tanh_sinh_piece(lambda x, d0, d1: 1.0 / d0, 0.0, 1.0, 1e-10, 3)
+
+
+def test_weight_memo_is_bounded_and_transparent():
+    """Every weight-based result is bitwise the same from a cold memo
+    and from a warm one."""
+    assert _w_core.cache_info().maxsize is not None
+    points = (1e-300, 0.5, 200.0, 864.0, 1500.0, 1727.9999999999998)
+    pairs = [(m, n) for m in range(9) for n in range(m, 9)]
+
+    def results():
+        return (
+            quad_integrate(weight_w).hex(),
+            {mn: gram(*mn).hex() for mn in pairs},
+            [weight_w(j).hex() for j in points],
+        )
+
+    _w_core.cache_clear()
+    cold = results()
+    assert _w_core.cache_info().currsize <= _w_core.cache_info().maxsize
+    assert results() == cold
+    # each Gram entry from a memo emptied just before it
+    for mn in pairs:
+        _w_core.cache_clear()
+        assert gram(*mn).hex() == cold[1][mn]
