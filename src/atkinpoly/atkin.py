@@ -3,9 +3,12 @@
 Two scales are maintained: the original family A_n, orthogonal on
 (0, 1728), and the normalized family with A_n(1728 y)/1728^n living on
 (0, 1).  Both are generated by their three-term recurrences through
-``ratpoly.MonicRecurrence``; the normalized cache is additionally
-cross-checked coefficient by coefficient against the affine rescaling of
-the original one, so a bug in either recurrence cannot stay silent.
+``ratpoly.MonicRecurrence``, which holds every member as integer
+numerators over a common denominator and builds a RatPoly only for the
+degrees asked for.  Every normalized member is cross-checked against the
+original one before it is handed out: coefficient j of the rescaled
+A_k is a_j / 1728^(k-j), so the check cross-multiplies the two integer
+members and a bug in either recurrence cannot stay silent.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistency
 from .exact import gen_binom_seq, pochhammer
-from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
+from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
 
@@ -66,20 +69,33 @@ def atkin(n: int) -> RatPoly:
 def atkin_normalized(n: int) -> RatPoly:
     """Monic normalized polynomial of degree n.
 
-    Every newly cached degree is verified against the rescaled original
+    Every newly generated degree is verified against the rescaled original
     family before being handed out.
     """
     global _verified_to
-    p = _NORMALIZED.poly(n)
     while _verified_to < n:
         k = _verified_to + 1
-        scaled = affine_substitute(atkin(k), 1728, 0) * _F(1, 1728**k)
-        if scaled != _NORMALIZED.poly(k):
+        if not _is_rescaled(_NORMALIZED.member(k), _ORIGINAL.member(k)):
             raise InternalInconsistency(
                 "normalized recurrence disagrees with rescaling at degree %d" % k
             )
         _verified_to = k
-    return p
+    return _NORMALIZED.poly(n)
+
+
+def _is_rescaled(normalized, original) -> bool:
+    """Whether normalized = A_k(1728 y)/1728^k for A_k = original, both as
+    (numerators, denominator) pairs: num_N[j] den_A 1728^(k-j) = num_A[j] den_N
+    for every j."""
+    (num_n, den_n), (num_a, den_a) = normalized, original
+    if len(num_n) != len(num_a):
+        return False
+    scale = den_a
+    for j in range(len(num_n) - 1, -1, -1):
+        if num_n[j] * scale != num_a[j] * den_n:
+            return False
+        scale *= 1728
+    return True
 
 
 def atkin_rates(n: int):

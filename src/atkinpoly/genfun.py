@@ -42,6 +42,16 @@ def delta_eps(t: float, x: float) -> DeltaEpsilon:
     return DeltaEpsilon(t, x, delta, epsilon)
 
 
+def _check_float_horizon(N: int, *seqs):
+    # the recurrence-built values carry a scale factor that grows like 4^n
+    # and overflows a double near n = 514, after which a term is inf or NaN
+    for n in range(N + 1):
+        if not all(math.isfinite(seq[n].value) for seq in seqs):
+            raise DomainError(
+                "N = %d is past %d, the last horizon whose terms fit a double" % (N, n - 1)
+            )
+
+
 def fjk_check(a: float, b: float, d: float, x: float, t: float, N: int):
     """Partial sum vs closed form of the summation identity
 
@@ -58,6 +68,7 @@ def fjk_check(a: float, b: float, d: float, x: float, t: float, N: int):
         return v, v
     # 2F1(-n-a, n+b; d; x) is the profile at (a', b') = (b, -a)
     prof = f21_profile_seq(b, -a, d, x, N)
+    _check_float_horizon(N, prof)
     lhs = 0.0
     coef = 1.0
     for n in range(N + 1):
@@ -96,6 +107,7 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
         y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x).value
         return GenUYResult(u0, u0, y0, y0)
     us, ys = u_and_y_seq(params, x, N)
+    _check_float_horizon(N, us, ys)
     lhs_u = lhs_y = 0.0
     coef = 1.0
     for n in range(N + 1):

@@ -1,7 +1,7 @@
 """Hypergeometric machinery, exact and numeric.
 
-The exact half evaluates terminating pFq sums over the rationals by
-left-to-right term recursion; these feed every explicit coefficient
+The exact half evaluates terminating pFq sums over the rationals as a
+backward nested sum in integers; these feed every explicit coefficient
 formula in the package.  The numeric half provides the Gauss function on
 the real interval, the two solutions U_n and Y_n of the associated
 recurrence, the C/D combination, and the two large-n asymptotic
@@ -53,7 +53,14 @@ class RealValue:
 
 
 def pfq_terminating(spec: HypSeriesSpec) -> Fraction:
-    """Exact sum of a terminating pFq at a rational argument."""
+    """Exact sum of a terminating pFq at a rational argument.
+
+    The sum is nested as 1 + r_0 (1 + r_1 (1 + ...)), r_k the ratio of
+    term k+1 to term k, and evaluated from the last term down.  With every
+    parameter over one common denominator each r_k is a ratio of
+    integers, so the loop keeps one integer numerator and one integer
+    denominator and a single Fraction is made, and reduced, at the end.
+    """
     nums = [Fraction(v) for v in spec.numerator_params]
     dens = [Fraction(v) for v in spec.denominator_params]
     z = Fraction(spec.argument)
@@ -66,18 +73,27 @@ def pfq_terminating(spec: HypSeriesSpec) -> Fraction:
             raise DenominatorPole(
                 "denominator parameter %s vanishes before the series terminates" % b
             )
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(terms):
-        num_f = Fraction(1)
-        for a in nums:
-            num_f *= a + k
-        den_f = Fraction(k + 1)
-        for b in dens:
-            den_f *= b + k
-        term = term * z * num_f / den_f
-        total += term
-    return total
+    # with D the common denominator of the parameters, A = aD and B = bD,
+    # the ratio of term k+1 to term k is
+    #   r_k = z D^(q-p) prod(A + kD) / ((k + 1) prod(B + kD))
+    scale = math.lcm(*(v.denominator for v in nums), *(v.denominator for v in dens))
+    big_a = [v.numerator * (scale // v.denominator) for v in nums]
+    big_b = [v.numerator * (scale // v.denominator) for v in dens]
+    excess = len(dens) - len(nums)
+    znum = z.numerator * scale ** max(excess, 0)
+    zden = z.denominator * scale ** max(-excess, 0)
+    num = den = 1
+    for k in range(terms - 1, -1, -1):
+        kd = k * scale
+        up = znum
+        for a in big_a:
+            up *= a + kd
+        down = zden * (k + 1)
+        for b in big_b:
+            down *= b + kd
+        den *= down
+        num = num * up + den
+    return Fraction(num, den)
 
 
 def pfq(numerator_params, denominator_params, argument) -> Fraction:

@@ -167,36 +167,46 @@ class MonicRecurrence:
     started from ``seeds`` = (P_0, ..., P_s), s >= 1; ``shift(m)`` and
     ``prod(m)`` are ints or Fractions, asked for from m = s on.
 
-    A step reads the last two members only.  Each is held as a list of
-    integer numerators over one common denominator, reduced by their gcd
-    once per degree, so a step costs O(m) integer operations and no
-    Fraction arithmetic.  Every member is cached as a RatPoly as the
-    engine passes it.  The cache is append-only and unbounded, and lives
-    as long as the object; filling it is not thread-safe.
+    Every member is held as a tuple of integer numerators over one common
+    denominator, reduced by their gcd, so the denominator is the least
+    common denominator of the coefficients.  A step reads the last two
+    members only and costs O(m) integer operations and no Fraction
+    arithmetic.  ``member(n)`` hands out that integer pair; ``poly(n)``
+    builds the RatPoly of P_n on request and caches it.  Both caches are
+    append-only and unbounded, and live as long as the object; filling
+    them is not thread-safe.
     """
 
     def __init__(self, seeds, shift, prod):
-        self._polys = list(seeds)
+        self._members = [_over_common_denominator(p) for p in seeds]
+        self._polys = dict(enumerate(seeds))
         self._shift = shift
         self._prod = prod
-        self._prev = _over_common_denominator(self._polys[-2])
-        self._cur = _over_common_denominator(self._polys[-1])
 
     def __len__(self) -> int:
-        """Number of members cached so far."""
-        return len(self._polys)
+        """Number of members generated so far."""
+        return len(self._members)
 
-    def poly(self, n: int) -> RatPoly:
-        """P_n, generating and caching every member up to it."""
+    def member(self, n: int):
+        """(numerators, d) with P_n = sum numerators[j] x^j / d, d > 0 the
+        least common denominator; generates every member up to n."""
         if n < 0:
             raise DomainError("degree must be nonnegative")
-        polys = self._polys
-        while len(polys) <= n:
-            polys.append(self._step(len(polys) - 1))
-        return polys[n]
+        members = self._members
+        while len(members) <= n:
+            members.append(self._step(len(members) - 1))
+        return members[n]
 
-    def _step(self, m: int) -> RatPoly:
-        (prev, prev_den), (cur, cur_den) = self._prev, self._cur
+    def poly(self, n: int) -> RatPoly:
+        """P_n as a RatPoly, built once and cached."""
+        p = self._polys.get(n)
+        if p is None:
+            nums, den = self.member(n)
+            p = self._polys[n] = RatPoly._from_fractions([Fraction(c, den) for c in nums])
+        return p
+
+    def _step(self, m: int):
+        (prev, prev_den), (cur, cur_den) = self._members[-2], self._members[-1]
         s = self._shift(m)
         q = self._prod(m)
         # P_{m+1} = x*cur/cur_den - s*cur/cur_den - q*prev/prev_den, over den
@@ -211,17 +221,15 @@ class MonicRecurrence:
             nxt[i] -= w * c
         g = gcd(den, *nxt)
         if g > 1:
-            nxt = [c // g for c in nxt]
-            den //= g
-        self._prev, self._cur = self._cur, (nxt, den)
-        return RatPoly._from_fractions([Fraction(c, den) for c in nxt])
+            return tuple([c // g for c in nxt]), den // g
+        return tuple(nxt), den
 
 
 def _over_common_denominator(p: RatPoly):
     """(numerators, d) with p = sum numerators[j] x^j / d and d the least
     common denominator of p's coefficients."""
     den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+    return tuple(c.numerator * (den // c.denominator) for c in p.coeffs), den
 
 
 def reduce_mod_p(p: RatPoly, prime: int) -> FpPoly:

@@ -192,6 +192,8 @@ def test_overflowing_degrees_exit_one_without_traceback():
         ["asymptotic", "--n", "540", "--theta", "0.7"],
         ["genfun", "--which", "at-zero", "--n", "5000", "--t", "0.3"],
         ["genfun", "--which", "catalan", "--n", "800", "--x", "0.5", "--t", "0.3"],
+        ["genfun", "--which", "fjk", "--n", "1000", "--x", "0.5", "--t", "0.3"],
+        ["genfun", "--which", "uy", "--n", "1000", "--x", "0.5", "--t", "0.3"],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "atkinpoly.cli"] + argv,

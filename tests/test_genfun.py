@@ -141,6 +141,24 @@ def test_catalan_horizon_is_the_last_that_fits_a_double():
             fn(*args, top + 1)
 
 
+def test_fjk_and_uy_stop_at_the_float_horizon():
+    # the scaled recurrence values overflow a double near n = 514
+    a, b, c = float(CANON.alpha), float(CANON.beta), float(CANON.c)
+    sums = []
+    for N in (60, 500):
+        lhs, rhs = fjk_check(a, b, c, 0.5, 0.3, N)
+        r = gen_uy_check(CANON, 0.5, 0.3, N)
+        for partial, closed in ((lhs, rhs), (r.u_partial_sum, r.u_closed_form), (r.y_partial_sum, r.y_closed_form)):
+            assert math.isfinite(partial) and abs(partial - closed) <= 1e-8
+        sums.append((lhs, r.u_partial_sum, r.y_partial_sum))
+    # the terms past n = 60 are below the rounding of the sum
+    assert sums[0] == pytest.approx(sums[1], rel=1e-12)
+    with pytest.raises(DomainError, match="the last horizon whose terms fit a double"):
+        fjk_check(a, b, c, 0.5, 0.3, 1000)
+    with pytest.raises(DomainError, match="the last horizon whose terms fit a double"):
+        gen_uy_check(CANON, 0.5, 0.3, 1000)
+
+
 def test_endpoint_coefficient_identities():
     """Catalan number times endpoint value equals the series coefficient
     of the closed form, exactly, for the first 21 coefficients."""

@@ -62,6 +62,65 @@ def test_pfq_pole_after_termination_is_fine():
     assert val == 1 - 2 * F(1, 2) / F(-4) + F(1) * pochhammer(F(1, 2), 2) / pochhammer(F(-4), 2)
 
 
+def _pfq_reference(nums, dens, z):
+    """Left-to-right Fraction sum of a terminating pFq, term by term: the
+    oracle for pfq_terminating, with its argument checks and messages."""
+    nums = [F(v) for v in nums]
+    dens = [F(v) for v in dens]
+    z = F(z)
+    stops = [-a for a in nums if a.denominator == 1 and a <= 0]
+    if not stops:
+        raise DomainError("series does not terminate: no nonpositive-integer numerator parameter")
+    terms = int(min(stops))
+    for b in dens:
+        if b.denominator == 1 and b <= 0 and -b < terms:
+            raise DenominatorPole(
+                "denominator parameter %s vanishes before the series terminates" % b
+            )
+    total = F(1)
+    term = F(1)
+    for k in range(terms):
+        num_f = F(1)
+        for a in nums:
+            num_f *= a + k
+        den_f = F(k + 1)
+        for b in dens:
+            den_f *= b + k
+        term = term * z * num_f / den_f
+        total += term
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, DenominatorPole) as exc:
+        return type(exc), str(exc)
+
+
+def _random_param(rng):
+    if rng.random() < 0.4:
+        return F(rng.randint(-45, 12))
+    return F(rng.randint(-60, 60), rng.choice((2, 3, 4, 5, 6, 7, 12)))
+
+
+def test_pfq_matches_left_to_right_reference():
+    rng = random.Random(2013)
+    raised = set()
+    for _ in range(400):
+        nums = [_random_param(rng) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.95:  # otherwise it may not terminate
+            nums.insert(rng.randint(0, len(nums)), F(-rng.randint(0, 40)))
+        dens = [_random_param(rng) for _ in range(rng.randint(0, 4))]
+        z = F(rng.randint(-9, 9), rng.randint(1, 8))
+        expected = _outcome(_pfq_reference, nums, dens, z)
+        assert _outcome(pfq, nums, dens, z) == expected, (nums, dens, z)
+        if isinstance(expected, tuple):
+            raised.add(expected[0])
+    # both failure kinds were drawn
+    assert raised == {DomainError, DenominatorPole}
+
+
 def test_f21_arcsin_oracle():
     # 2F1(1/2, 1/2; 3/2; z) = asin(sqrt z)/sqrt z
     for z in (0.05, 0.3, 0.7, 0.95):

@@ -2,7 +2,9 @@
 it replaced, and the runtime guard on the normalized Atkin family."""
 
 import importlib
+import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -34,6 +36,36 @@ def test_engine_builds_monic_legendre():
     assert legendre.poly(2) == RatPoly((F(-1, 3), 0, 1))
     with pytest.raises(DomainError):
         legendre.poly(-1)
+
+
+def test_members_on_request_in_any_order():
+    canon = S_SET[1]
+    lam0, mu0 = aj_rates(canon, 0, Variant.V)
+    families = (
+        (atkin_module._SEEDS_ORIGINAL, atkin_module._orig_shift, atkin_module._orig_prod),
+        (
+            (RatPoly.one(), RatPoly((-(lam0 + mu0), 1))),
+            lambda m: _vrec_shift(canon, m),
+            lambda m: _vrec_prod(canon, m),
+        ),
+    )
+    rng = random.Random(6)
+    for seeds, shift, prod in families:
+        oracle = _fraction_loop(seeds, shift, prod, 40)
+        engine = MonicRecurrence(seeds, shift, prod)
+        order = list(range(41))
+        rng.shuffle(order)
+        generated = len(seeds)
+        for n in order:
+            p = engine.poly(n)
+            assert p == oracle[n]
+            assert engine.poly(n) == p  # a repeated request gives the same member
+            generated = max(generated, n + 1)
+            assert len(engine) == generated
+            # the integer member: numerators over the least common denominator
+            nums, den = engine.member(n)
+            assert den == lcm(*(c.denominator for c in p.coeffs))
+            assert [F(c, den) for c in nums] == list(p.coeffs)
 
 
 def test_original_scale_matches_fraction_loop():
@@ -84,3 +116,21 @@ def test_rescale_guard_fires_on_a_corrupted_recurrence(monkeypatch):
             atkin_normalized(9)
     # the caches and the verified degree are back
     assert atkin_normalized(9) == kz_explicit(9)
+
+
+def test_rescale_guard_fires_on_a_corrupted_shift(monkeypatch):
+    def corrupted_shift(m):
+        # wrong at one index: degree 12 and everything above it change
+        return atkin_module._norm_shift(m) + (F(1, 10**9) if m == 11 else 0)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            atkin_module,
+            "_NORMALIZED",
+            MonicRecurrence(atkin_module._SEEDS_NORMALIZED, corrupted_shift, atkin_module._norm_prod),
+        )
+        mp.setattr(atkin_module, "_verified_to", 2)
+        assert atkin_normalized(11) == kz_explicit(11)
+        with pytest.raises(InternalInconsistency, match="degree 12"):
+            atkin_normalized(30)
+    assert atkin_normalized(30) == kz_explicit(30)
