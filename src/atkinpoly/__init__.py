@@ -30,7 +30,7 @@ from .atkin import (
     atkin_rates,
     kz_explicit,
 )
-from .exact import Rational, catalan, gen_binom, parse_rational, pochhammer, rat_str
+from .exact import catalan, parse_rational, pochhammer, rat_str
 from .fp import FpPoly, fp_gcd
 from .genfun import (
     DeltaEpsilon,
@@ -44,7 +44,6 @@ from .genfun import (
     gen_zero_pfaff_residual,
 )
 from .hypergeom import (
-    HypSeriesSpec,
     RealValue,
     atkin_asymptotic,
     buv_combination,
@@ -53,7 +52,6 @@ from .hypergeom import (
     f21_profile_seq,
     f21_real,
     pfq,
-    pfq_terminating,
     u_and_y,
     u_and_y_seq,
     watson_rhs,
@@ -62,13 +60,10 @@ from .ratpoly import (
     RatPoly,
     affine_substitute,
     poly_eval,
-    poly_eval_float,
     reduce_mod_p,
 )
 from .supersingular import atkin_mod_p, match_report, ss_poly
 from .weight import (
-    WeightContext,
-    default_context,
     gram,
     lambda_star,
     phi,

@@ -187,29 +187,34 @@ def _explicit_pref(n: int, params: AJParams) -> Fraction:
     return _F(-1) ** n * pochhammer(c + 1, n) * pochhammer(b + c + 1, n) / den
 
 
-def _explicit_coeff(n: int, k: int, params: AJParams) -> Fraction:
-    a, b, c = params.alpha, params.beta, params.c
-    den = pochhammer(c + 1, k) * pochhammer(c + b + 1, k)
-    if den == 0:
-        raise ParameterDegeneracy("coefficient denominator vanishes at power %d" % k)
-    return pochhammer(_F(-n), k) * pochhammer(n + 2 * c + a + b + 1, k) / den
-
-
-def wimp_V_explicit(n: int, params: AJParams) -> RatPoly:
-    """Explicit double-sum form of assoc_V: one terminating 4F3 per power of x."""
+def _explicit_form(n: int, params: AJParams, drop: int) -> RatPoly:
+    """wimp_V_explicit (drop = 0) and im_calV_explicit (drop = 1)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     a, b, c = params.alpha, params.beta, params.c
     pref = _explicit_pref(n, params)
+    # (-n)_k (n + 2c + a + b + 1)_k / ((c + 1)_k (c + b + 1)_k), from the
+    # value at k - 1 by its term ratio
+    ck = _F(1)
     coeffs = []
     for k in range(n + 1):
         f43 = pfq(
-            (_F(k - n), n + k + a + b + 2 * c + 1, c + b, c),
-            (k + b + c + 1, k + c + 1, a + b + 2 * c),
+            (_F(k - n), n + k + a + b + 2 * c + 1, c + b + drop, c),
+            (k + b + c + 1, k + c + 1, a + b + 2 * c + drop),
             1,
         )
-        coeffs.append(pref * _explicit_coeff(n, k, params) * f43)
+        if k:
+            den = (c + k) * (c + b + k)
+            if den == 0:
+                raise ParameterDegeneracy("coefficient denominator vanishes at power %d" % k)
+            ck *= (k - 1 - n) * (n + k + a + b + 2 * c) / den
+        coeffs.append(pref * ck * f43)
     return RatPoly(coeffs)
+
+
+def wimp_V_explicit(n: int, params: AJParams) -> RatPoly:
+    """Explicit double-sum form of assoc_V: one terminating 4F3 per power of x."""
+    return _explicit_form(n, params, 0)
 
 
 def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
@@ -219,19 +224,7 @@ def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
     by one, which is exactly what dropping the index-zero death rate does
     to the series.
     """
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    a, b, c = params.alpha, params.beta, params.c
-    pref = _explicit_pref(n, params)
-    coeffs = []
-    for k in range(n + 1):
-        f43 = pfq(
-            (_F(k - n), n + k + a + b + 2 * c + 1, c + b + 1, c),
-            (k + b + c + 1, k + c + 1, a + b + 2 * c + 1),
-            1,
-        )
-        coeffs.append(pref * _explicit_coeff(n, k, params) * f43)
-    return RatPoly(coeffs)
+    return _explicit_form(n, params, 1)
 
 
 REP1_DEFAULT_COEFF = _F(455, 3456)
@@ -309,12 +302,8 @@ def ourrep_explicit(n: int) -> RatPoly:
         )
     const = _F(-5, 12) * pfq((_F(-n), _F(n + 2), _F(7, 12)), (_F(19, 12), _F(2)), 1)
     coeffs = [pref * const]
+    ck = _F(1)  # (-n)_k (n + 2)_k / ((19/12)_k (11/12)_k)
     for k in range(n + 1):
-        ck = (
-            pochhammer(_F(-n), k)
-            * pochhammer(_F(n + 2), k)
-            / (pochhammer(_F(19, 12), k) * pochhammer(_F(11, 12), k))
-        )
         f1 = pfq(
             (_F(k - n), _F(n + k + 2), _F(11, 12), _F(-5, 12)),
             (k + _F(11, 12), k + _F(19, 12), _F(1)),
@@ -326,4 +315,5 @@ def ourrep_explicit(n: int) -> RatPoly:
             1,
         )
         coeffs.append(pref * ck * (_F(6, 5) * f1 - _F(1, 5) * f2))
+        ck *= _F((k - n) * (n + 2 + k) * 144, (19 + 12 * k) * (11 + 12 * k))
     return RatPoly(coeffs)

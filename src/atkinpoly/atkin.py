@@ -1,14 +1,11 @@
 """The Atkin family of monic orthogonal polynomials.
 
-Two scales are maintained: the original family A_n, orthogonal on
-(0, 1728), and the normalized family with A_n(1728 y)/1728^n living on
-(0, 1).  Both are generated by their three-term recurrences through
-``ratpoly.MonicRecurrence``, which holds every member as integer
-numerators over a common denominator and builds a RatPoly only for the
-degrees asked for.  Every normalized member is cross-checked against the
-original one before it is handed out: coefficient j of the rescaled
-A_k is a_j / 1728^(k-j), so the check cross-multiplies the two integer
-members and a bug in either recurrence cannot stay silent.
+The original family A_n, orthogonal on (0, 1728), is generated by its
+three-term recurrence through ``ratpoly.MonicRecurrence``, which holds
+every member as integer numerators over a common denominator.  The
+normalized family A_n(1728 y)/1728^n, living on (0, 1), is read off
+those integers: its coefficient j is a_j / 1728^(n-j).  The normalized
+recurrence is kept in the tests as the second route.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError
 from .exact import gen_binom_seq, pochhammer
 from .ratpoly import MonicRecurrence, RatPoly
 
@@ -34,31 +31,17 @@ def _orig_prod(n: int) -> Fraction:
     )
 
 
-def _norm_shift(n: int) -> Fraction:
-    return _orig_shift(n) / 1728
-
-
-def _norm_prod(n: int) -> Fraction:
-    return _orig_prod(n) / (1728 * 1728)
-
-
 _SEEDS_ORIGINAL = (
     RatPoly((1,)),
     RatPoly((-720, 1)),
     RatPoly((269280, -1640, 1)),
 )
-_SEEDS_NORMALIZED = (
-    RatPoly((1,)),
-    RatPoly((_F(-5, 12), 1)),
-    RatPoly((_F(935, 10368), _F(-205, 216), 1)),
-)
 
 
-# Per-process caches, append-only and unbounded; filling them (and
-# advancing _verified_to) is single-threaded.
+# Per-process caches, append-only and unbounded; filling them is
+# single-threaded.
 _ORIGINAL = MonicRecurrence(_SEEDS_ORIGINAL, _orig_shift, _orig_prod)
-_NORMALIZED = MonicRecurrence(_SEEDS_NORMALIZED, _norm_shift, _norm_prod)
-_verified_to = 2  # seed degrees checked by construction
+_NORMALIZED: dict = {}  # degree -> RatPoly
 
 
 def atkin(n: int) -> RatPoly:
@@ -67,35 +50,16 @@ def atkin(n: int) -> RatPoly:
 
 
 def atkin_normalized(n: int) -> RatPoly:
-    """Monic normalized polynomial of degree n.
-
-    Every newly generated degree is verified against the rescaled original
-    family before being handed out.
-    """
-    global _verified_to
-    while _verified_to < n:
-        k = _verified_to + 1
-        if not _is_rescaled(_NORMALIZED.member(k), _ORIGINAL.member(k)):
-            raise InternalInconsistency(
-                "normalized recurrence disagrees with rescaling at degree %d" % k
-            )
-        _verified_to = k
-    return _NORMALIZED.poly(n)
-
-
-def _is_rescaled(normalized, original) -> bool:
-    """Whether normalized = A_k(1728 y)/1728^k for A_k = original, both as
-    (numerators, denominator) pairs: num_N[j] den_A 1728^(k-j) = num_A[j] den_N
-    for every j."""
-    (num_n, den_n), (num_a, den_a) = normalized, original
-    if len(num_n) != len(num_a):
-        return False
-    scale = den_a
-    for j in range(len(num_n) - 1, -1, -1):
-        if num_n[j] * scale != num_a[j] * den_n:
-            return False
-        scale *= 1728
-    return True
+    """Monic normalized polynomial of degree n, A_n(1728 y)/1728^n."""
+    p = _NORMALIZED.get(n)
+    if p is None:
+        nums, den = _ORIGINAL.member(n)
+        coeffs = [None] * len(nums)
+        for j in range(n, -1, -1):
+            coeffs[j] = Fraction(nums[j], den)
+            den *= 1728
+        p = _NORMALIZED[n] = RatPoly._from_fractions(coeffs)
+    return p
 
 
 def atkin_rates(n: int):
@@ -194,8 +158,9 @@ def atkin_normalized_value_seq(nmax: int, x: float):
     if nmax >= 2:
         out.append(x * x - float(_F(205, 216)) * x + float(_F(935, 10368)))
     for m in range(2, nmax):
-        nxt = (x - float(_norm_shift(m))) * out[m] - float(_norm_prod(m)) * out[m - 1]
-        out.append(nxt)
+        shift = float(_orig_shift(m) / 1728)
+        prod = float(_orig_prod(m) / 1728**2)
+        out.append((x - shift) * out[m] - prod * out[m - 1])
     return out[: nmax + 1]
 
 

@@ -1,7 +1,7 @@
 """Exact rational arithmetic primitives.
 
-``Rational`` is an alias for :class:`fractions.Fraction`, which already
-provides canonical form (positive denominator, reduced by gcd) after every
+Rationals are :class:`fractions.Fraction`, which already provides
+canonical form (positive denominator, reduced by gcd) after every
 operation and raises on division by zero.  On top of it live the
 combinatorial helpers used throughout: rising factorials, binomial
 coefficients with arbitrary rational upper argument, and Catalan numbers.
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def pochhammer(a, n: int) -> Fraction:
@@ -26,23 +24,10 @@ def pochhammer(a, n: int) -> Fraction:
     return out
 
 
-def gen_binom(a, k: int) -> Fraction:
-    """Binomial coefficient a over k with rational upper argument.
-
-    Equals a(a-1)...(a-k+1)/k!; 1 when k = 0.
-    """
-    if k < 0:
-        raise ValueError("gen_binom requires k >= 0")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a - i
-    return out / math.factorial(k)
-
-
 def gen_binom_seq(a, count: int) -> list:
-    """[gen_binom(a, k) for k in range(count)], each term from the one
-    before by the ratio (a - k)/(k + 1)."""
+    """The binomial coefficients a over k, with rational upper argument a,
+    for k in range(count); each term comes from the one before by the
+    ratio (a - k)/(k + 1)."""
     a = Fraction(a)
     out = [Fraction(1)] if count > 0 else []
     for k in range(count - 1):

@@ -1,11 +1,11 @@
 """Hypergeometric machinery, exact and numeric.
 
-The exact half evaluates terminating pFq sums over the rationals as a
-backward nested sum in integers; these feed every explicit coefficient
-formula in the package.  The numeric half provides the Gauss function on
-the real interval, the two solutions U_n and Y_n of the associated
-recurrence, the C/D combination, and the two large-n asymptotic
-right-hand sides.
+The exact half is ``pfq``: a terminating pFq at a rational argument,
+summed backward over one common denominator in integers.  It feeds every
+explicit coefficient formula in the package.  The numeric half provides
+the Gauss function on the real interval, the two solutions U_n and Y_n
+of the associated recurrence, the C/D combination, and the two large-n
+asymptotic right-hand sides.
 
 A note on large n: series like 2F1(b - n, n + a; d; x) are numerically
 hopeless when summed directly for n beyond roughly 25, because the terms
@@ -32,19 +32,6 @@ _PI = math.pi
 
 
 @dataclass(frozen=True)
-class HypSeriesSpec:
-    """A pFq description: parameter lists plus the argument."""
-
-    numerator_params: tuple
-    denominator_params: tuple
-    argument: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params", tuple(self.numerator_params))
-        object.__setattr__(self, "denominator_params", tuple(self.denominator_params))
-
-
-@dataclass(frozen=True)
 class RealValue:
     """A double plus an upper bound on its truncation error."""
 
@@ -52,7 +39,7 @@ class RealValue:
     abs_error_estimate: float
 
 
-def pfq_terminating(spec: HypSeriesSpec) -> Fraction:
+def pfq(numerator_params, denominator_params, argument) -> Fraction:
     """Exact sum of a terminating pFq at a rational argument.
 
     The sum is nested as 1 + r_0 (1 + r_1 (1 + ...)), r_k the ratio of
@@ -61,9 +48,9 @@ def pfq_terminating(spec: HypSeriesSpec) -> Fraction:
     integers, so the loop keeps one integer numerator and one integer
     denominator and a single Fraction is made, and reduced, at the end.
     """
-    nums = [Fraction(v) for v in spec.numerator_params]
-    dens = [Fraction(v) for v in spec.denominator_params]
-    z = Fraction(spec.argument)
+    nums = [Fraction(v) for v in numerator_params]
+    dens = [Fraction(v) for v in denominator_params]
+    z = Fraction(argument)
     stops = [-a for a in nums if a.denominator == 1 and a <= 0]
     if not stops:
         raise DomainError("series does not terminate: no nonpositive-integer numerator parameter")
@@ -94,11 +81,6 @@ def pfq_terminating(spec: HypSeriesSpec) -> Fraction:
         den *= down
         num = num * up + den
     return Fraction(num, den)
-
-
-def pfq(numerator_params, denominator_params, argument) -> Fraction:
-    """Convenience wrapper building the spec inline."""
-    return pfq_terminating(HypSeriesSpec(tuple(numerator_params), tuple(denominator_params), argument))
 
 
 def _rgamma(x: float) -> float:

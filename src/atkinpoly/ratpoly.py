@@ -126,16 +126,6 @@ def poly_eval(p: RatPoly, x) -> Fraction:
     return out
 
 
-def poly_eval_float(p: RatPoly, x: float) -> float:
-    """Horner in doubles.  Fine for the small degrees used in quadrature;
-    high-degree members of an orthogonal family cancel catastrophically
-    here, so large-n evaluation must go through the value recurrences."""
-    out = 0.0
-    for c in reversed(p.coeffs):
-        out = out * x + float(c)
-    return out
-
-
 def affine_substitute(p: RatPoly, a, b) -> RatPoly:
     """Return q with q(x) = p(a*x + b), exactly.
 

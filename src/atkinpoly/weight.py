@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .atkin import atkin
 from .errors import DomainError, InternalInconsistency, NonConvergent
@@ -44,31 +43,19 @@ def lambda_star() -> float:
         raise InternalInconsistency(
             "gamma-product forms disagree: %r vs %r" % (form1, form2)
         )
-    _LAMBDA = 0.5 * (form1 + form2)
+    lam = 0.5 * (form1 + form2)
+    if not 0.0 < lam < 1.0:
+        raise InternalInconsistency("lambda constant out of (0, 1): %r" % lam)
+    _LAMBDA = lam
     return _LAMBDA
 
 
 _LAMBDA = None
 
-
-@dataclass(frozen=True)
-class WeightContext:
-    lambda_star: float
-    quad_tolerance: float = 1e-10
-    quad_level_cap: int = 12
-
-
-_CTX = None
-
-
-def default_context() -> WeightContext:
-    global _CTX
-    if _CTX is None:
-        lam = lambda_star()
-        if not 0.0 < lam < 1.0:
-            raise InternalInconsistency("lambda constant out of (0, 1): %r" % lam)
-        _CTX = WeightContext(lam)
-    return _CTX
+# default tolerance of quad_integrate and gram, and the last tanh-sinh
+# level tried before giving up
+_QUAD_TOLERANCE = 1e-10
+_QUAD_LEVEL_CAP = 12
 
 
 def f_and_fstar(J: float):
@@ -250,7 +237,7 @@ _SPLIT = 864.0
 
 def _integrate_sing(g, tol: float) -> float:
     """Integral over (0, 1728) of a distance-aware integrand g(x, d0, d1728)."""
-    cap = default_context().quad_level_cap
+    cap = _QUAD_LEVEL_CAP
     left = _tanh_sinh_piece(lambda x, da, db: g(x, da, db + _SPLIT), 0.0, _SPLIT, tol, cap)
     right = _tanh_sinh_piece(lambda x, da, db: g(x, da + _SPLIT, db), _SPLIT, 1728.0, tol, cap)
     return left + right
@@ -268,7 +255,7 @@ def quad_integrate(f, tol: float = None) -> float:
     gets gram(0, 0) = 1.0000000000007 from 129 nodes.
     """
     if tol is None:
-        tol = default_context().quad_tolerance
+        tol = _QUAD_TOLERANCE
 
     def g(x, d0, d1728):
         if x <= 0.0 or x >= 1728.0:
@@ -284,7 +271,7 @@ def gram(m: int, n: int, tol: float = None) -> float:
     if not (0 <= m <= 8 and 0 <= n <= 8):
         raise DomainError("gram is supported for degrees up to 8")
     if tol is None:
-        tol = default_context().quad_tolerance
+        tol = _QUAD_TOLERANCE
     # float coefficients, highest degree first, converted once per call
     cm = [float(c) for c in reversed(atkin(m).coeffs)]
     cn = [float(c) for c in reversed(atkin(n).coeffs)]

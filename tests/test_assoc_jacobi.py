@@ -120,6 +120,14 @@ def test_explicit_forms_match_recurrences():
             assert im_calV_explicit(n, params) == assoc_calV(n, params)
 
 
+def test_explicit_forms_name_the_degenerate_power():
+    # (c + 1)_k (c + b + 1)_k first vanishes at k = 3, where c + b + 3 = 0
+    params = AJParams(F(-2), F(-3), F(0))
+    for form in (wimp_V_explicit, im_calV_explicit):
+        with pytest.raises(ParameterDegeneracy, match="coefficient denominator vanishes at power 3$"):
+            form(5, params)
+
+
 def test_second_solution_shift():
     """V_{n-1} at c+1 solves the same recurrence as V_n at c: running the
     (alpha, beta, c) recurrence on W_n := V_{n-1}(x; c+1), W_0 := 0,

@@ -1,5 +1,6 @@
 """Command-line envelope: shape, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -205,3 +206,23 @@ def test_overflowing_degrees_exit_one_without_traceback():
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
+
+
+# sha256 of the stdout of each invocation at the degree cap: a change to
+# how the exact families or the explicit forms are computed must leave
+# these envelopes byte for byte as they are
+GOLDEN_STDOUT = (
+    (["atkin", "--n", "200", "--scale", "normalized"],
+     "c2a86ae36dfdd799efc206f9b5130de13ff584df308e88ab6b28fe00cc8a7c82"),
+    (["explicit-check", "--n", "200", "--form", "hypergeometric"],
+     "19bc430261b8e5eca08c52a34068e4b56ebe98690a8874c3a2a61d76d12f997a"),
+    (["explicit-check", "--n", "200", "--form", "binomial"],
+     "1aeb6b177b32e697100995e04a44002a504bb2e327d9145c0dac50f7b873385c"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_envelopes_at_the_cap_are_byte_identical(capsys, argv, digest):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

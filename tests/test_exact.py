@@ -3,7 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from atkinpoly.exact import catalan, gen_binom, gen_binom_seq, parse_rational, pochhammer, rat_str
+from atkinpoly.exact import catalan, gen_binom_seq, parse_rational, pochhammer, rat_str
+
+
+def gen_binom(a, k):
+    """Binomial coefficient a over k with rational upper argument, as
+    a(a-1)...(a-k+1)/k!: the oracle for gen_binom_seq."""
+    a = F(a)
+    out = F(1)
+    for i in range(k):
+        out *= a - i
+    return out / math.factorial(k)
 
 
 def test_pochhammer_base_cases():

@@ -13,7 +13,6 @@ from atkinpoly.atkin import atkin_normalized_value, atkin_normalized_value_seq
 from atkinpoly.errors import DenominatorPole, DomainError, NonConvergent
 from atkinpoly.exact import pochhammer
 from atkinpoly.hypergeom import (
-    HypSeriesSpec,
     _series_f21,
     atkin_asymptotic,
     buv_combination,
@@ -22,13 +21,27 @@ from atkinpoly.hypergeom import (
     f21_profile_seq,
     f21_real,
     pfq,
-    pfq_terminating,
     u_and_y,
     watson_rhs,
 )
-from atkinpoly.ratpoly import poly_eval_float
+from atkinpoly.ratpoly import RatPoly
 
 CANON = S_SET[1]
+
+
+def poly_eval_float(p, x):
+    """Horner in doubles.  Fine for small degrees; high-degree members of
+    an orthogonal family cancel catastrophically here, which is why the
+    package evaluates them by value recurrences instead."""
+    out = 0.0
+    for c in reversed(p.coeffs):
+        out = out * x + float(c)
+    return out
+
+
+def test_poly_eval_float():
+    p = RatPoly((1, 0, -1))
+    assert abs(poly_eval_float(p, 0.5) - 0.75) < 1e-15
 
 
 def test_terminating_vandermonde():
@@ -47,7 +60,7 @@ def test_terminating_binomial():
 
 def test_pfq_requires_termination():
     with pytest.raises(DomainError):
-        pfq_terminating(HypSeriesSpec((F(1, 2), F(1, 3)), (F(3, 2),), F(1)))
+        pfq((F(1, 2), F(1, 3)), (F(3, 2),), F(1))
 
 
 def test_pfq_denominator_pole():
@@ -64,7 +77,7 @@ def test_pfq_pole_after_termination_is_fine():
 
 def _pfq_reference(nums, dens, z):
     """Left-to-right Fraction sum of a terminating pFq, term by term: the
-    oracle for pfq_terminating, with its argument checks and messages."""
+    oracle for pfq, with its argument checks and messages."""
     nums = [F(v) for v in nums]
     dens = [F(v) for v in dens]
     z = F(z)

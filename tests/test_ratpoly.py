@@ -11,7 +11,6 @@ from atkinpoly.ratpoly import (
     RatPoly,
     affine_substitute,
     poly_eval,
-    poly_eval_float,
     reduce_mod_p,
 )
 
@@ -65,11 +64,6 @@ def test_poly_eval_horner_matches_power_sum():
     x = F(9, 4)
     expected = sum(c * x**k for k, c in enumerate(p.coeffs))
     assert poly_eval(p, x) == expected
-
-
-def test_poly_eval_float():
-    p = RatPoly((1, 0, -1))
-    assert abs(poly_eval_float(p, 0.5) - 0.75) < 1e-15
 
 
 def _substitute_by_products(p, a, b):

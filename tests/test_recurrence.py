@@ -1,5 +1,5 @@
 """The fraction-free recurrence engine against the RatPoly-product loop
-it replaced, and the runtime guard on the normalized Atkin family."""
+it replaced, and the normalized Atkin family against its own recurrence."""
 
 import importlib
 import random
@@ -9,12 +9,30 @@ from math import lcm
 import pytest
 
 from atkinpoly.assoc_jacobi import S_SET, Variant, _vrec_prod, _vrec_shift, aj_rates, assoc_calV, assoc_V
-from atkinpoly.atkin import atkin, atkin_normalized, kz_explicit
-from atkinpoly.errors import DomainError, InternalInconsistency
+from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq
+from atkinpoly.cli import MAX_EXACT_DEGREE
+from atkinpoly.errors import DomainError
 from atkinpoly.ratpoly import MonicRecurrence, RatPoly
 
 # the package namespace binds the name atkin to the function
 atkin_module = importlib.import_module("atkinpoly.atkin")
+
+# The normalized family A_n(1728 y)/1728^n by its own recurrence, whose
+# coefficients are those of the original scale over 1728 and 1728^2:
+# the second route to atkin_normalized, which reads A_n instead.
+_SEEDS_NORMALIZED = (
+    RatPoly((1,)),
+    RatPoly((F(-5, 12), 1)),
+    RatPoly((F(935, 10368), F(-205, 216), 1)),
+)
+
+
+def _norm_shift(m):
+    return atkin_module._orig_shift(m) / 1728
+
+
+def _norm_prod(m):
+    return atkin_module._orig_prod(m) / (1728 * 1728)
 
 
 def _fraction_loop(seeds, shift, prod, n):
@@ -77,11 +95,31 @@ def test_original_scale_matches_fraction_loop():
 
 
 def test_normalized_scale_matches_fraction_loop():
-    oracle = _fraction_loop(
-        atkin_module._SEEDS_NORMALIZED, atkin_module._norm_shift, atkin_module._norm_prod, 60
-    )
+    oracle = _fraction_loop(_SEEDS_NORMALIZED, _norm_shift, _norm_prod, 60)
     for n, expected in enumerate(oracle):
         assert atkin_normalized(n) == expected
+
+
+def test_normalized_scale_matches_its_recurrence_past_the_cli_cap():
+    engine = MonicRecurrence(_SEEDS_NORMALIZED, _norm_shift, _norm_prod)
+    for n in range(MAX_EXACT_DEGREE + 2):
+        assert atkin_normalized(n).coeffs == engine.poly(n).coeffs
+
+
+def _normalized_value_seq(nmax, x):
+    """Float values at x of the normalized family, degrees 0..nmax >= 2,
+    by the recurrence above in doubles."""
+    out = [1.0, x - 5.0 / 12.0, x * x - float(F(205, 216)) * x + float(F(935, 10368))]
+    for m in range(2, nmax):
+        out.append((x - float(_norm_shift(m))) * out[m] - float(_norm_prod(m)) * out[m - 1])
+    return out
+
+
+@pytest.mark.parametrize("x", (0.1, 0.5, 0.999))
+def test_value_recurrence_is_bit_identical_to_the_normalized_one(x):
+    # past degree 537 the values underflow to 0.0 at x = 0.5 and 0.999
+    got = atkin_normalized_value_seq(600, x)
+    assert [v.hex() for v in got] == [v.hex() for v in _normalized_value_seq(600, x)]
 
 
 @pytest.mark.parametrize("params", S_SET)
@@ -97,40 +135,3 @@ def test_associated_families_match_fraction_loop(params, variant):
     member = assoc_V if variant is Variant.V else assoc_calV
     for n, expected in enumerate(oracle):
         assert member(n, params) == expected
-
-
-def test_rescale_guard_fires_on_a_corrupted_recurrence(monkeypatch):
-    def corrupted_prod(m):
-        # wrong at one index: degree 6 and everything above it change
-        return atkin_module._norm_prod(m) + (F(1, 10**6) if m == 5 else 0)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(
-            atkin_module,
-            "_NORMALIZED",
-            MonicRecurrence(atkin_module._SEEDS_NORMALIZED, atkin_module._norm_shift, corrupted_prod),
-        )
-        mp.setattr(atkin_module, "_verified_to", 2)
-        atkin_normalized(5)  # below the corrupted degree: still verified
-        with pytest.raises(InternalInconsistency, match="degree 6"):
-            atkin_normalized(9)
-    # the caches and the verified degree are back
-    assert atkin_normalized(9) == kz_explicit(9)
-
-
-def test_rescale_guard_fires_on_a_corrupted_shift(monkeypatch):
-    def corrupted_shift(m):
-        # wrong at one index: degree 12 and everything above it change
-        return atkin_module._norm_shift(m) + (F(1, 10**9) if m == 11 else 0)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(
-            atkin_module,
-            "_NORMALIZED",
-            MonicRecurrence(atkin_module._SEEDS_NORMALIZED, corrupted_shift, atkin_module._norm_prod),
-        )
-        mp.setattr(atkin_module, "_verified_to", 2)
-        assert atkin_normalized(11) == kz_explicit(11)
-        with pytest.raises(InternalInconsistency, match="degree 12"):
-            atkin_normalized(30)
-    assert atkin_normalized(30) == kz_explicit(30)

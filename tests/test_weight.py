@@ -9,7 +9,6 @@ from atkinpoly.errors import DomainError, NonConvergent
 from atkinpoly.weight import (
     _tanh_sinh_piece,
     _w_core,
-    default_context,
     f_and_fstar,
     gram,
     lambda_star,
@@ -30,10 +29,11 @@ def test_lambda_star_value():
 
 
 def test_default_context():
-    ctx = default_context()
-    assert ctx.lambda_star == lambda_star()
-    assert ctx.quad_tolerance == 1e-10
-    assert ctx.quad_level_cap == 12
+    # quad_integrate and gram default to the tolerance 1e-10, which is
+    # not the same as a looser or a tighter one
+    assert quad_integrate(weight_w) == quad_integrate(weight_w, 1e-10)
+    assert gram(1, 2) == gram(1, 2, 1e-10)
+    assert gram(1, 2, 1e-6) != gram(1, 2) != gram(1, 2, 1e-13)
 
 
 def test_f_pair_at_origin():
