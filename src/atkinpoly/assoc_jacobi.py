@@ -3,13 +3,21 @@ the normalized Atkin polynomials built from them.
 
 Two associated families appear, differing only in how the index-zero
 death rate enters the first polynomial: V keeps it, the calligraphic
-variant drops it.  Both satisfy the same three-term recurrence from
-degree one on.  Four parameter triples (the S constants below) tie these
-families to the Atkin polynomials.
+variant drops it.  Both are built from their birth and death rates
+(``aj_rates``) alone,
+
+    P_{m+1} = (x - lambda_m - mu_m) P_m - lambda_{m-1} mu_m P_{m-1},
+
+so from degree one on they satisfy the same three-term recurrence; a
+parameter triple at which a rate has a pole raises ParameterDegeneracy
+at the first index that needs it.  The explicit double sums of Wimp are
+the second route.  Four parameter triples (the S constants below) tie
+these families to the Atkin polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,27 +132,6 @@ def aj_rates(params: AJParams, n: int, variant) -> tuple:
     return lam, (n + c) * (n + c + a) / (s * (s + 1))
 
 
-def _vrec_shift(params: AJParams, n: int) -> Fraction:
-    a, b, c = params.alpha, params.beta, params.c
-    s = 2 * n + 2 * c + a + b
-    return (s * (s + 2) - (a * a - b * b)) / (2 * s * (s + 2))
-
-
-def _vrec_prod(params: AJParams, n: int) -> Fraction:
-    a, b, c = params.alpha, params.beta, params.c
-    s = 2 * n + 2 * c + a + b
-    return (n + c) * (n + c + a) * (n + c + b) * (n + c + a + b) / ((s - 1) * s * s * (s + 1))
-
-
-def _check_recurrence_range(params: AJParams, nmax: int):
-    # fail fast with the offending index, before any polynomial is built
-    a, b, c = params.alpha, params.beta, params.c
-    for m in range(1, nmax):
-        s = 2 * m + 2 * c + a + b
-        if (s - 1) * s * (s + 1) * (s + 2) == 0:
-            raise ParameterDegeneracy("recurrence denominator vanishes at index %d" % m)
-
-
 # Per-process cache of one recurrence engine per (alpha, beta, c, variant),
 # append-only and unbounded; filling it is single-threaded.
 _FAMILY_CACHE: dict = {}
@@ -154,14 +141,14 @@ def _assoc_family(params: AJParams, variant: Variant, n: int) -> RatPoly:
     key = (params.alpha, params.beta, params.c, variant)
     family = _FAMILY_CACHE.get(key)
     if family is None:
-        lam0, mu0 = aj_rates(params, 0, variant)
+        # step m reads the rates at m - 1 and m: one computation per index
+        rates = functools.cache(lambda m: aj_rates(params, m, variant))
+        lam0, mu0 = rates(0)
         family = _FAMILY_CACHE[key] = MonicRecurrence(
             (RatPoly.one(), RatPoly((-(lam0 + mu0), 1))),
-            lambda m: _vrec_shift(params, m),
-            lambda m: _vrec_prod(params, m),
+            lambda m: sum(rates(m)),
+            lambda m: rates(m - 1)[0] * rates(m)[1],
         )
-    if len(family) <= n:
-        _check_recurrence_range(params, n)
     return family.poly(n)
 
 

@@ -10,11 +10,10 @@ recurrence is kept in the tests as the second route.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import gen_binom_seq, pochhammer
+from .exact import gen_binom_seq
 from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
@@ -97,27 +96,14 @@ def atkin_at_zero(n: int) -> Fraction:
     """Exact value of the normalized degree-n polynomial at 0, n >= 1."""
     if n < 1:
         raise DomainError("closed form holds for n >= 1")
-    m = n - 1
-    return (
-        (-1) ** m
-        * _F(-5, 12)
-        * pochhammer(_F(11, 12), m)
-        * pochhammer(_F(17, 12), m)
-        / math.factorial(2 * m + 1)
-    )
+    return atkin_at_zero_seq(n)[-1]
 
 
 def atkin_at_one(n: int) -> Fraction:
     """Exact value of the normalized degree-n polynomial at 1, n >= 1."""
     if n < 1:
         raise DomainError("closed form holds for n >= 1")
-    m = n - 1
-    return (
-        _F(7, 12)
-        * pochhammer(_F(11, 12), m)
-        * pochhammer(_F(19, 12), m)
-        / math.factorial(2 * m + 1)
-    )
+    return atkin_at_one_seq(n)[-1]
 
 
 def _endpoint_seq(first: Fraction, p: int, q: int, sign: int, nmax: int):
@@ -132,12 +118,14 @@ def _endpoint_seq(first: Fraction, p: int, q: int, sign: int, nmax: int):
 
 
 def atkin_at_zero_seq(nmax: int):
-    """[atkin_at_zero(n) for n in 1..nmax], by term ratios in O(nmax) steps."""
+    """Values at 0 of the normalized polynomials of degrees 1..nmax, by
+    term ratios in O(nmax) steps."""
     return _endpoint_seq(_F(-5, 12), 11, 17, -1, nmax)
 
 
 def atkin_at_one_seq(nmax: int):
-    """[atkin_at_one(n) for n in 1..nmax], by term ratios in O(nmax) steps."""
+    """Values at 1 of the normalized polynomials of degrees 1..nmax, by
+    term ratios in O(nmax) steps."""
     return _endpoint_seq(_F(7, 12), 11, 19, 1, nmax)
 
 

@@ -10,7 +10,8 @@ precision note whenever reals appear).  Output is deterministic: sorted
 keys, no timestamps.
 
 Exit codes: 0 on success, 2 when a verification-style check fails or a
-computation does not converge, 1 on usage errors.
+computation does not converge, 1 on usage errors and on arguments
+outside the domain of the computation (a DomainError).
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .atkin import (
     atkin_normalized_value,
     kz_explicit,
 )
-from .errors import (
-    AtkinError,
-    DomainError,
-    InvalidPrime,
-    ParameterDegeneracy,
-)
+from .errors import AtkinError, DomainError
 from .exact import parse_rational, rat_str
 from .hypergeom import atkin_asymptotic
 
@@ -97,6 +93,10 @@ def _params_from(args) -> aj.AJParams:
     return aj.AJParams(args.alpha, args.beta, args.c)
 
 
+def _params_inputs(params: aj.AJParams) -> dict:
+    return {"alpha": rat_str(params.alpha), "beta": rat_str(params.beta), "c": rat_str(params.c)}
+
+
 def _cmd_atkin(args):
     _check_exact_degree(args.n)
     poly = atkin(args.n) if args.scale == "original" else atkin_normalized(args.n)
@@ -111,13 +111,7 @@ def _cmd_assoc_jacobi(args):
     params = _params_from(args)
     fn = aj.assoc_V if args.variant == "V" else aj.assoc_calV
     poly = fn(args.n, params)
-    inputs = {
-        "n": args.n,
-        "alpha": rat_str(params.alpha),
-        "beta": rat_str(params.beta),
-        "c": rat_str(params.c),
-        "variant": args.variant,
-    }
+    inputs = {"n": args.n, "variant": args.variant, **_params_inputs(params)}
     results = {"degree": args.n, "coefficients": _coeff_strings(poly)}
     provenance = {"coefficients": "three-term recurrence with shifted index"}
     return inputs, results, provenance, 0
@@ -164,11 +158,7 @@ def _cmd_explicit_check(args):
         mechanism = "terminating hypergeometric sums"
     else:
         params = _params_from(args)
-        inputs.update(
-            alpha=rat_str(params.alpha),
-            beta=rat_str(params.beta),
-            c=rat_str(params.c),
-        )
+        inputs.update(_params_inputs(params))
         if args.form == "assoc-v":
             candidate = aj.wimp_V_explicit(args.n, params)
             target = aj.assoc_V(args.n, params)
@@ -221,12 +211,7 @@ def _cmd_genfun(args):
     }
     if args.which == "uy":
         params = _params_from(args)
-        inputs.update(
-            x=args.x,
-            alpha=rat_str(params.alpha),
-            beta=rat_str(params.beta),
-            c=rat_str(params.c),
-        )
+        inputs.update(x=args.x, **_params_inputs(params))
         r = genfun.gen_uy_check(params, args.x, args.t, args.n)
         residual = max(
             abs(r.u_partial_sum - r.u_closed_form),
@@ -241,12 +226,7 @@ def _cmd_genfun(args):
     else:
         if args.which == "fjk":
             params = _params_from(args)
-            inputs.update(
-                x=args.x,
-                alpha=rat_str(params.alpha),
-                beta=rat_str(params.beta),
-                c=rat_str(params.c),
-            )
+            inputs.update(x=args.x, **_params_inputs(params))
             lhs, rhs = genfun.fjk_check(
                 float(params.alpha), float(params.beta), float(params.c),
                 args.x, args.t, args.n,
@@ -391,7 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         inputs, results, provenance, code = args.handler(args)
-    except (DomainError, InvalidPrime, ParameterDegeneracy) as exc:
+    except DomainError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 1
     except AtkinError as exc:

@@ -14,7 +14,7 @@ class NonConvergent(AtkinError):
     preconditions, or the term or level cap was reached)."""
 
 
-class DenominatorPole(AtkinError):
+class DenominatorPole(DomainError):
     """A denominator Pochhammer symbol vanishes inside a terminating sum."""
 
 
@@ -22,15 +22,15 @@ class DenominatorNotInvertible(AtkinError):
     """A rational coefficient has a denominator divisible by the prime."""
 
 
-class ParameterDegeneracy(AtkinError):
+class ParameterDegeneracy(DomainError):
     """Recurrence coefficients are undefined for these parameters."""
 
 
-class ComplexBranch(AtkinError):
+class ComplexBranch(DomainError):
     """A real square root was requested but the discriminant is negative."""
 
 
-class InvalidPrime(AtkinError):
+class InvalidPrime(DomainError):
     """The prime argument is composite or smaller than 5."""
 
 

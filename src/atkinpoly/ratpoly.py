@@ -155,7 +155,9 @@ class MonicRecurrence:
         P_{m+1} = (x - shift(m)) P_m - prod(m) P_{m-1}
 
     started from ``seeds`` = (P_0, ..., P_s), s >= 1; ``shift(m)`` and
-    ``prod(m)`` are ints or Fractions, asked for from m = s on.
+    ``prod(m)`` are ints or Fractions, asked for once per step, in order
+    from m = s on.  An exception they raise at step m leaves P_0..P_m in
+    place and reaches the caller again on every request past degree m.
 
     Every member is held as a tuple of integer numerators over one common
     denominator, reduced by their gcd, so the denominator is the least
@@ -172,10 +174,6 @@ class MonicRecurrence:
         self._polys = dict(enumerate(seeds))
         self._shift = shift
         self._prod = prod
-
-    def __len__(self) -> int:
-        """Number of members generated so far."""
-        return len(self._members)
 
     def member(self, n: int):
         """(numerators, d) with P_n = sum numerators[j] x^j / d, d > 0 the

@@ -58,22 +58,24 @@ _QUAD_TOLERANCE = 1e-10
 _QUAD_LEVEL_CAP = 12
 
 
+def _f_pair_dist(J: float, one_minus_J: float):
+    """The hypergeometric pair (F, F*) entering the weight, with the
+    distance to 1 supplied exactly for deep-tail nodes."""
+    if one_minus_J >= 0.5:
+        f21, x = f21_real, J
+    else:
+        f21, x = f21_near_one, one_minus_J
+    return (
+        f21(1.0 / 12.0, 1.0 / 12.0, 2.0 / 3.0, x).value,
+        f21(5.0 / 12.0, 5.0 / 12.0, 4.0 / 3.0, x).value,
+    )
+
+
 def f_and_fstar(J: float):
     """The hypergeometric pair (F, F*) entering the weight, at J in [0, 1]."""
     if not 0.0 <= J <= 1.0:
         raise DomainError("J must lie in [0, 1]")
-    f = f21_real(1.0 / 12.0, 1.0 / 12.0, 2.0 / 3.0, J).value
-    fs = f21_real(5.0 / 12.0, 5.0 / 12.0, 4.0 / 3.0, J).value
-    return f, fs
-
-
-def _f_pair_dist(J: float, one_minus_J: float):
-    # same pair, with the distance to 1 supplied exactly for deep-tail nodes
-    if one_minus_J >= 0.5:
-        return f_and_fstar(J)
-    f = f21_near_one(1.0 / 12.0, 1.0 / 12.0, 2.0 / 3.0, one_minus_J).value
-    fs = f21_near_one(5.0 / 12.0, 5.0 / 12.0, 4.0 / 3.0, one_minus_J).value
-    return f, fs
+    return _f_pair_dist(J, 1.0 - J)
 
 
 def _n_parts(j_cuberoot: float, f: float, fstar: float, lam: float):
@@ -90,20 +92,16 @@ def phi(J: float) -> float:
     return _PI / 3.0 + 2.0 * math.atan2(im, re)
 
 
+def _phi_prime(J: float, one_minus_J: float, f: float, fs: float, lam: float) -> float:
+    re, im = _n_parts(J ** (1.0 / 3.0), f, fs, lam)
+    return lam / _SQRT3 * J ** (-2.0 / 3.0) / math.sqrt(one_minus_J) / (re * re + im * im)
+
+
 def phi_prime(J: float) -> float:
     """Derivative of the angle map; positive on (0, 1)."""
     if not 0.0 < J < 1.0:
         raise DomainError("phi_prime requires J in (0, 1)")
-    lam = lambda_star()
-    f, fs = f_and_fstar(J)
-    re, im = _n_parts(J ** (1.0 / 3.0), f, fs, lam)
-    return (
-        lam
-        / _SQRT3
-        * J ** (-2.0 / 3.0)
-        / math.sqrt(1.0 - J)
-        / (re * re + im * im)
-    )
+    return _phi_prime(J, 1.0 - J, *f_and_fstar(J), lambda_star())
 
 
 def wronskian_residual(J: float) -> float:
@@ -151,15 +149,7 @@ def _w_core(j: float, dist_right: float) -> float:
         / (re * re + im * im)
     )
     # change-of-variables route through the angle derivative
-    nre, nim = _n_parts(J ** (1.0 / 3.0), f, fs, lam)
-    phi_p = (
-        lam
-        / _SQRT3
-        * J ** (-2.0 / 3.0)
-        / math.sqrt(dist_right / 1728.0)
-        / (nre * nre + nim * nim)
-    )
-    w_phi = 6.0 / (1728.0 * _PI) * phi_p
+    w_phi = 6.0 / (1728.0 * _PI) * _phi_prime(J, dist_right / 1728.0, f, fs, lam)
     if abs(w_explicit - w_phi) > 1e-9 * abs(w_explicit):
         raise InternalInconsistency(
             "weight routes disagree at j=%r: %r vs %r" % (j, w_explicit, w_phi)

@@ -104,7 +104,7 @@ def test_rates_degenerate_denominator():
 
 
 def test_recurrence_degenerate_index():
-    # alpha + beta + 2c = -5: the index-2 step divides by s - 1 = 0
+    # alpha + beta + 2c = -5: s = -1 at index 2, where lambda_2 divides by s + 1 = 0
     params = AJParams(F(0), F(0), F(-5, 2))
     assert assoc_V(2, params).degree() == 2
     with pytest.raises(ParameterDegeneracy, match="index 2"):

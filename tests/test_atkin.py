@@ -19,6 +19,7 @@ from atkinpoly.atkin import (
     kz_explicit,
 )
 from atkinpoly.errors import DomainError
+from atkinpoly.exact import pochhammer
 from atkinpoly.ratpoly import RatPoly, affine_substitute, poly_eval
 
 
@@ -94,12 +95,18 @@ def test_endpoint_values_match_polynomials():
 
 
 def test_endpoint_sequences_match_closed_forms():
+    # with m = n - 1: A_n(0) = (-1)^m (-5/12) (11/12)_m (17/12)_m / (2m+1)!
+    # and A_n(1) = (7/12) (11/12)_m (19/12)_m / (2m+1)!
     zeros = atkin_at_zero_seq(200)
     ones = atkin_at_one_seq(200)
     assert len(zeros) == len(ones) == 200
     for n in range(1, 201):
-        assert zeros[n - 1] == atkin_at_zero(n)
-        assert ones[n - 1] == atkin_at_one(n)
+        m = n - 1
+        fact = math.factorial(2 * m + 1)
+        at_zero = (-1) ** m * F(-5, 12) * pochhammer(F(11, 12), m) * pochhammer(F(17, 12), m) / fact
+        at_one = F(7, 12) * pochhammer(F(11, 12), m) * pochhammer(F(19, 12), m) / fact
+        assert zeros[n - 1] == atkin_at_zero(n) == at_zero
+        assert ones[n - 1] == atkin_at_one(n) == at_one
     assert atkin_at_zero_seq(0) == []
 
 

@@ -208,9 +208,29 @@ def test_overflowing_degrees_exit_one_without_traceback():
         assert "error" in proc.stderr
 
 
-# sha256 of the stdout of each invocation at the degree cap: a change to
-# how the exact families or the explicit forms are computed must leave
-# these envelopes byte for byte as they are
+def test_parameter_poles_exit_one_without_traceback():
+    # a pole of the 4F3 behind the explicit V form, and of lambda_2
+    src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    for argv, message in (
+        (["explicit-check", "--n", "3", "--form", "assoc-v", "--alpha", "0", "--beta", "0", "--c", "-1"],
+         "denominator parameter 0 vanishes before the series terminates"),
+        (["assoc-jacobi", "--n", "5", "--alpha", "0", "--beta", "0", "--c", "-5/2"],
+         "lambda denominator vanishes at index 2"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "atkinpoly.cli"] + argv,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert proc.stderr == "atkinpoly: error: %s\n" % message  # one line, no traceback
+
+
+# sha256 of the stdout of each invocation at the degree cap, and of
+# selftest: a change to how the exact families, the explicit forms or the
+# weight are computed must leave these envelopes byte for byte as they are
 GOLDEN_STDOUT = (
     (["atkin", "--n", "200", "--scale", "normalized"],
      "c2a86ae36dfdd799efc206f9b5130de13ff584df308e88ab6b28fe00cc8a7c82"),
@@ -218,6 +238,12 @@ GOLDEN_STDOUT = (
      "19bc430261b8e5eca08c52a34068e4b56ebe98690a8874c3a2a61d76d12f997a"),
     (["explicit-check", "--n", "200", "--form", "binomial"],
      "1aeb6b177b32e697100995e04a44002a504bb2e327d9145c0dac50f7b873385c"),
+    (["assoc-jacobi", "--n", "200", "--alpha", "1/2", "--beta", "-2/3", "--c", "7/12", "--variant", "calV"],
+     "7936c429bb0dd6fb41ae37ff3e8f3e11f57760f564b2a707cc84ee507a7f1d7c"),
+    (["assoc-jacobi", "--n", "200", "--alpha", "-1/2", "--beta", "2/3", "--c", "5/12", "--variant", "V"],
+     "b41c8636cba2bfdba913a39c0e78bd388cbbecfaef5d893d5b6b034d864acc0b"),
+    (["selftest"],
+     "801e5fadac2150a56d6228fb19ec923316d6f7d8c9c3fc4048b19db53a19e4e4"),
 )
 
 

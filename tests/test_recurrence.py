@@ -1,5 +1,6 @@
 """The fraction-free recurrence engine against the RatPoly-product loop
-it replaced, and the normalized Atkin family against its own recurrence."""
+it replaced, the normalized Atkin family against its own recurrence, and
+the associated families against their hand-simplified coefficients."""
 
 import importlib
 import random
@@ -8,10 +9,10 @@ from math import lcm
 
 import pytest
 
-from atkinpoly.assoc_jacobi import S_SET, Variant, _vrec_prod, _vrec_shift, aj_rates, assoc_calV, assoc_V
-from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq
+from atkinpoly.assoc_jacobi import S_SET, AJParams, Variant, aj_rates, assoc_calV, assoc_V
+from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq, atkin_rates
 from atkinpoly.cli import MAX_EXACT_DEGREE
-from atkinpoly.errors import DomainError
+from atkinpoly.errors import DomainError, ParameterDegeneracy
 from atkinpoly.ratpoly import MonicRecurrence, RatPoly
 
 # the package namespace binds the name atkin to the function
@@ -35,6 +36,32 @@ def _norm_prod(m):
     return atkin_module._orig_prod(m) / (1728 * 1728)
 
 
+# The associated families' recurrence with lambda_m + mu_m and
+# lambda_{m-1} mu_m multiplied out, s = 2m + 2c + alpha + beta: the
+# second route to the rates that assoc_V and assoc_calV step with.
+def _vrec_shift(params, m):
+    a, b, c = params.alpha, params.beta, params.c
+    s = 2 * m + 2 * c + a + b
+    return (s * (s + 2) - (a * a - b * b)) / (2 * s * (s + 2))
+
+
+def _vrec_prod(params, m):
+    a, b, c = params.alpha, params.beta, params.c
+    s = 2 * m + 2 * c + a + b
+    return (m + c) * (m + c + a) * (m + c + b) * (m + c + a + b) / ((s - 1) * s * s * (s + 1))
+
+
+def _first_degenerate_index(params, nmax):
+    """First index m in 1..nmax-1 at which a denominator of the
+    multiplied-out recurrence, (s - 1) s (s + 1) (s + 2), vanishes."""
+    a, b, c = params.alpha, params.beta, params.c
+    for m in range(1, nmax):
+        s = 2 * m + 2 * c + a + b
+        if (s - 1) * s * (s + 1) * (s + 2) == 0:
+            return m
+    return None
+
+
 def _fraction_loop(seeds, shift, prod, n):
     """Members 0..n of P_{m+1} = (x - shift(m)) P_m - prod(m) P_{m-1},
     one RatPoly product per step: the oracle for MonicRecurrence."""
@@ -50,7 +77,7 @@ def test_engine_builds_monic_legendre():
     legendre = MonicRecurrence((RatPoly.one(), RatPoly.x()), lambda m: 0, lambda m: F(m * m, 4 * m * m - 1))
     assert legendre.poly(3) == RatPoly((0, F(-3, 5), 0, 1))
     assert legendre.poly(4) == RatPoly((F(3, 35), 0, F(-6, 7), 0, 1))
-    assert len(legendre) == 5
+    assert len(legendre._members) == 5  # members past the one asked for are not built
     assert legendre.poly(2) == RatPoly((F(-1, 3), 0, 1))
     with pytest.raises(DomainError):
         legendre.poly(-1)
@@ -79,7 +106,7 @@ def test_members_on_request_in_any_order():
             assert p == oracle[n]
             assert engine.poly(n) == p  # a repeated request gives the same member
             generated = max(generated, n + 1)
-            assert len(engine) == generated
+            assert len(engine._members) == generated
             # the integer member: numerators over the least common denominator
             nums, den = engine.member(n)
             assert den == lcm(*(c.denominator for c in p.coeffs))
@@ -135,3 +162,58 @@ def test_associated_families_match_fraction_loop(params, variant):
     member = assoc_V if variant is Variant.V else assoc_calV
     for n, expected in enumerate(oracle):
         assert member(n, params) == expected
+
+
+def test_rates_multiply_out_to_the_simplified_recurrence():
+    # lambda_m + mu_m and lambda_{m-1} mu_m at indices where no
+    # denominator vanishes, for the S triples and a grid of others
+    triples = list(S_SET) + [
+        AJParams(F(a, 4), F(b, 3), F(c, 6)) for a in (-3, 1, 5) for b in (-2, 1) for c in (-5, 1, 7)
+    ]
+    for params in triples:
+        if _first_degenerate_index(params, 30) is not None:
+            continue
+        for m in range(1, 30):
+            lam, mu = aj_rates(params, m, Variant.V)
+            assert lam + mu == _vrec_shift(params, m)
+            assert aj_rates(params, m - 1, Variant.V)[0] * mu == _vrec_prod(params, m)
+
+
+def _degenerate_grid():
+    # alpha + beta + 2c at a negative integer, or a third or a half above one
+    out = []
+    for total in [k + d for k in range(-24, 2) for d in (F(0), F(1, 3), F(1, 2))]:
+        for a in (F(0), F(1, 2), F(-2, 3)):
+            for b in (F(0), F(1, 3)):
+                out.append(AJParams(a, b, (total - a - b) / 2))
+    return out
+
+
+@pytest.mark.parametrize("variant", (Variant.V, Variant.CALV))
+def test_families_fail_at_the_first_degenerate_index(variant):
+    """The old precheck over the multiplied-out denominators is the
+    oracle of the first index at which a family raises."""
+    member = assoc_V if variant is Variant.V else assoc_calV
+    failing = set()
+    for params in _degenerate_grid():
+        try:
+            aj_rates(params, 0, variant)
+        except ParameterDegeneracy:
+            # the seed itself is undefined: every member raises
+            with pytest.raises(ParameterDegeneracy, match="index 0$"):
+                member(0, params)
+            continue
+        expected = _first_degenerate_index(params, 12)
+        for n in (5, 12, 1, 12):
+            if expected is None or n <= expected:
+                assert member(n, params).degree() == n
+            else:
+                failing.add(expected)
+                with pytest.raises(ParameterDegeneracy, match="denominator vanishes at index %d$" % expected):
+                    member(n, params)
+    assert failing == set(range(1, 12))
+
+
+def test_atkin_rates_are_the_associated_rates_one_index_down():
+    for n in range(1, 201):
+        assert atkin_rates(n) == aj_rates(S_SET[1], n - 1, Variant.V)
