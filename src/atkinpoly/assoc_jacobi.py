@@ -11,8 +11,10 @@ variant drops it.  Both are built from their birth and death rates
 so from degree one on they satisfy the same three-term recurrence; a
 parameter triple at which a rate has a pole raises ParameterDegeneracy
 at the first index that needs it.  The explicit double sums of Wimp are
-the second route.  Four parameter triples (the S constants below) tie
-these families to the Atkin polynomials.
+the second route.  At c = 0 the calligraphic variant is the monic Jacobi
+family, which is where the Jacobi polynomials here come from.  Four
+parameter triples (the S constants below) tie these families to the
+Atkin polynomials.
 """
 
 from __future__ import annotations
@@ -76,39 +78,19 @@ def _coerce_variant(variant) -> Variant:
 
 
 def jacobi_poly(n: int, alpha, beta) -> RatPoly:
-    """Classical Jacobi polynomial P_n^{(alpha,beta)} with exact coefficients."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    alpha = _F(alpha)
-    beta = _F(beta)
-    p0 = RatPoly.one()
-    if n == 0:
-        return p0
-    p1 = RatPoly(((alpha - beta) / 2, (alpha + beta + 2) / 2))
-    for m in range(1, n):
-        ab = alpha + beta
-        den = 2 * (m + 1) * (m + ab + 1) * (2 * m + ab)
-        if den == 0:
-            raise ParameterDegeneracy("recurrence denominator vanishes at index %d" % m)
-        lin = RatPoly(
-            (
-                (2 * m + ab + 1) * (alpha * alpha - beta * beta) / den,
-                (2 * m + ab + 1) * (2 * m + ab) * (2 * m + ab + 2) / den,
-            )
-        )
-        p0, p1 = p1, lin * p1 - (_F(2 * (m + alpha) * (m + beta) * (2 * m + ab + 2)) / den) * p0
-    return p1
+    """Classical Jacobi polynomial P_n^{(alpha,beta)} with exact coefficients:
+    (n+alpha+beta+1)_n/n! times the monic variant at (x + 1)/2."""
+    monic = monic_jacobi(n, alpha, beta)
+    scale = pochhammer(n + _F(alpha) + _F(beta) + 1, n) / math.factorial(n)
+    return scale * affine_substitute(monic, _F(1, 2), _F(1, 2))
 
 
 def monic_jacobi(n: int, alpha, beta) -> RatPoly:
-    """Monic Jacobi variant on [0, 1]: n!/(n+alpha+beta+1)_n times P_n(2x-1)."""
-    alpha = _F(alpha)
-    beta = _F(beta)
-    den = pochhammer(n + alpha + beta + 1, n)
-    if den == 0:
-        raise ParameterDegeneracy("normalization factor vanishes at degree %d" % n)
-    p = affine_substitute(jacobi_poly(n, alpha, beta), _F(2), _F(-1))
-    return (_F(math.factorial(n)) / den) * p
+    """Monic Jacobi variant on [0, 1]: n!/(n+alpha+beta+1)_n times P_n(2x-1),
+    the associated family with the index-zero death rate dropped at c = 0."""
+    if n == 0:
+        return RatPoly.one()
+    return assoc_calV(n, AJParams(alpha, beta, 0))
 
 
 def aj_rates(params: AJParams, n: int, variant) -> tuple:
@@ -118,9 +100,14 @@ def aj_rates(params: AJParams, n: int, variant) -> tuple:
         raise DomainError("index must be nonnegative")
     a, b, c = params.alpha, params.beta, params.c
     s = 2 * n + 2 * c + a + b
-    if (s + 1) * (s + 2) == 0:
+    lam_num = n + c + b + 1
+    lam_den = s + 2
+    if n + c != 0:  # at n + c = 0 the factor n + c + a + b + 1 is s + 1 and cancels
+        lam_num *= n + c + a + b + 1
+        lam_den *= s + 1
+    if lam_den == 0:
         raise ParameterDegeneracy("lambda denominator vanishes at index %d" % n)
-    lam = (n + c + b + 1) * (n + c + a + b + 1) / ((s + 1) * (s + 2))
+    lam = lam_num / lam_den
     if n == 0:
         if variant is Variant.CALV:
             return lam, _F(0)

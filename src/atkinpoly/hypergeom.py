@@ -28,6 +28,8 @@ from .errors import DenominatorPole, DomainError, NonConvergent
 _F = Fraction
 
 _SERIES_CAP = 10**6
+# relative truncation tolerance of every Gauss series summed here
+_SERIES_TOLERANCE = 1e-12
 _PI = math.pi
 
 
@@ -189,7 +191,7 @@ def _connection_gammas(a: float, b: float, c: float):
     return g1, g2, rel1, rel2, dcab
 
 
-def f21_near_one(a: float, b: float, c: float, one_minus_x: float, tol: float = 1e-12) -> RealValue:
+def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     """2F1 at x = 1 - one_minus_x with the distance to 1 supplied exactly.
 
     Uses the standard two-series connection in 1-x; requires c-a-b not an
@@ -203,7 +205,7 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float, tol: float = 
     if s == 0:
         return _gauss_at_one(a, b, c)
     if s > 0.5:
-        return f21_real(a, b, c, 1.0 - s, tol)
+        return f21_real(a, b, c, 1.0 - s)
     cab = c - a - b
     if cab == math.floor(cab):
         raise NonConvergent("c-a-b integer: the two-series connection degenerates")
@@ -212,11 +214,11 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float, tol: float = 
     v = 0.0
     err = 0.0
     if g1 != 0.0:
-        s1, e1 = _series_f21(a, b, a + b - c + 1.0, s, tol)
+        s1, e1 = _series_f21(a, b, a + b - c + 1.0, s, _SERIES_TOLERANCE)
         v += g1 * s1
         err += abs(g1) * e1 + (5e-16 + rel1) * abs(g1 * s1)
     if g2 != 0.0:
-        s2, e2 = _series_f21(c - a, c - b, cab + 1.0, s, tol)
+        s2, e2 = _series_f21(c - a, c - b, cab + 1.0, s, _SERIES_TOLERANCE)
         v += g2 * s2
         # s**cab: the power's own rounding, its product with the gamma
         # factors, and the rounding of c - a - b amplified by |log s|
@@ -233,7 +235,7 @@ def _gauss_at_one(a: float, b: float, c: float) -> RealValue:
     return RealValue(v, 8e-16 * abs(v))
 
 
-def f21_real(a: float, b: float, c: float, x: float, tol: float = 1e-12) -> RealValue:
+def f21_real(a: float, b: float, c: float, x: float) -> RealValue:
     """Gauss 2F1 for real argument x < 1 (x = 1 allowed when c-a-b > 0)."""
     _check_c(c)
     if x == 0.0:
@@ -245,9 +247,9 @@ def f21_real(a: float, b: float, c: float, x: float, tol: float = 1e-12) -> Real
     if x <= -1.0:
         raise NonConvergent("argument at or below -1 is not supported")
     if x < 0.5:
-        v, e = _series_f21(a, b, c, x, tol)
+        v, e = _series_f21(a, b, c, x, _SERIES_TOLERANCE)
         return RealValue(v, e)
-    return f21_near_one(a, b, c, 1.0 - x, tol)
+    return f21_near_one(a, b, c, 1.0 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +291,41 @@ def _monic_seq(alpha: float, beta: float, c: float, x: float, nmax: int, t0, t1)
     return vals[: nmax + 1], errs[: nmax + 1]
 
 
-def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int, tol: float = 1e-12):
+def _scale_factors(nmax: int, ratio) -> list:
+    """g_0 = 1 and g_{n+1} = g_n ratio(n) for n < nmax.
+
+    The factors grow like 4^n and overflow a double near n = 514; the
+    first that does, or that meets a pole of the ratio, is refused
+    before any value is built.
+    """
+    gs = [1.0]
+    for n in range(nmax):
+        try:
+            g = gs[n] * ratio(n)
+        except ZeroDivisionError:
+            raise DomainError("scale factor has a pole at index %d" % (n + 1)) from None
+        if not math.isfinite(g):
+            raise DomainError(
+                "N = %d is past %d, the last horizon whose terms fit a double" % (nmax, n)
+            )
+        gs.append(g)
+    return gs
+
+
+def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int):
     """Values of 2F1(b - n, n + a; d; x) for n = 0..nmax, as RealValues."""
     al = a + b - d
     be = d - 1.0
     cc = -b
     if abs(cc + 1.0) < 1e-12 or abs(be + cc + 1.0) < 1e-12:
         raise DomainError("profile parameters degenerate the seed scaling")
-    f0 = f21_real(b, a, d, x, tol)
-    f1 = f21_real(b - 1.0, a + 1.0, d, x, tol)
+    gs = _scale_factors(nmax, lambda n: (
+        -(al + be + 2 * cc + 1.0 + 2 * n)
+        * (al + be + 2 * cc + 2.0 + 2 * n)
+        / ((be + cc + 1.0 + n) * (al + be + cc + 1.0 + n))
+    ))
+    f0 = f21_real(b, a, d, x)
+    f1 = f21_real(b - 1.0, a + 1.0, d, x)
     u1 = -(be + cc + 1.0) / (cc + 1.0)
     s1 = (cc + 1.0) * (al + be + cc + 1.0) / ((al + be + 2 * cc + 1.0) * (al + be + 2 * cc + 2.0))
     if nmax == 0:
@@ -306,23 +334,14 @@ def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int, tol: floa
         al, be, cc, x, nmax, (f0.value, f0.abs_error_estimate),
         (s1 * u1 * f1.value, abs(s1 * u1) * f1.abs_error_estimate),
     )
-    out = []
-    g = 1.0
-    for n in range(nmax + 1):
-        out.append(RealValue(g * vals[n], abs(g) * errs[n]))
-        g *= (
-            -(al + be + 2 * cc + 1.0 + 2 * n)
-            * (al + be + 2 * cc + 2.0 + 2 * n)
-            / ((be + cc + 1.0 + n) * (al + be + cc + 1.0 + n))
-        )
-    return out
+    return [RealValue(g * v, abs(g) * e) for g, v, e in zip(gs, vals, errs)]
 
 
 def _params_floats(params):
     return float(params.alpha), float(params.beta), float(params.c)
 
 
-def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int, tol: float):
+def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
     """Tilde-normalized U and Y value sequences (with error channels).
 
     Both carry the same prefactor, the one that makes U monic.  Under
@@ -331,11 +350,11 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int, tol: fl
     (alpha, -beta, beta+c), whose shift and product coincide); only the
     seeds differ.
     """
-    u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x, tol)
-    u1s = f21_real(-1.0 - cf, af + bf + cf + 2.0, 1.0 + bf, x, tol)
+    u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x)
+    u1s = f21_real(-1.0 - cf, af + bf + cf + 2.0, 1.0 + bf, x)
     u1 = -(bf + cf + 1.0) / (cf + 1.0) * u1s.value
-    y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x, tol)
-    y1s = f21_real(-1.0 - bf - cf, af + cf + 2.0, 1.0 - bf, x, tol)
+    y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x)
+    y1s = f21_real(-1.0 - bf - cf, af + cf + 2.0, 1.0 - bf, x)
     y1 = -(af + cf + 1.0) / (af + bf + cf + 1.0) * y1s.value
     su = (cf + 1.0) * (af + bf + cf + 1.0) / (
         (af + bf + 2 * cf + 1.0) * (af + bf + 2 * cf + 2.0)
@@ -353,37 +372,35 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int, tol: fl
     return (list(zip(uv, ue)), list(zip(yv, ye)))
 
 
-def u_and_y_seq(params, x: float, nmax: int, tol: float = 1e-12):
+def u_and_y_seq(params, x: float, nmax: int):
     """U_n(x) and Y_n(x) for n = 0..nmax at the given (alpha, beta, c)."""
     af, bf, cf = _params_floats(params)
-    tu, ty = _uy_monic_seqs(af, bf, cf, x, nmax, tol)
-    us, ys = [], []
-    g = 1.0
-    for n in range(nmax + 1):
-        us.append(RealValue(g * tu[n][0], abs(g) * tu[n][1]))
-        ys.append(RealValue(g * ty[n][0], abs(g) * ty[n][1]))
-        g *= (af + bf + 2 * cf + 1.0 + 2 * n) * (af + bf + 2 * cf + 2.0 + 2 * n) / (
-            (cf + 1.0 + n) * (af + bf + cf + 1.0 + n)
-        )
+    gs = _scale_factors(nmax, lambda n: (
+        (af + bf + 2 * cf + 1.0 + 2 * n) * (af + bf + 2 * cf + 2.0 + 2 * n)
+        / ((cf + 1.0 + n) * (af + bf + cf + 1.0 + n))
+    ))
+    tu, ty = _uy_monic_seqs(af, bf, cf, x, nmax)
+    us = [RealValue(g * v, abs(g) * e) for g, (v, e) in zip(gs, tu)]
+    ys = [RealValue(g * v, abs(g) * e) for g, (v, e) in zip(gs, ty)]
     return us, ys
 
 
-def u_and_y(n: int, params, x: float, tol: float = 1e-12):
+def u_and_y(n: int, params, x: float):
     """The solution pair (U_n(x), Y_n(x))."""
     if not 0.0 < x < 1.0:
         raise DomainError("u_and_y requires x in (0, 1)")
-    us, ys = u_and_y_seq(params, x, n, tol)
+    us, ys = u_and_y_seq(params, x, n)
     return us[n], ys[n]
 
 
-def c_and_d(x: float, tol: float = 1e-12):
+def c_and_d(x: float):
     """The coefficient pair (C(x), D(x)) of the two-solution combination."""
-    f1 = f21_real(-5.0 / 12.0, -5.0 / 12.0, -1.0 / 3.0, x, tol)
-    f2 = f21_real(-5.0 / 12.0, -5.0 / 12.0, 2.0 / 3.0, x, tol)
+    f1 = f21_real(-5.0 / 12.0, -5.0 / 12.0, -1.0 / 3.0, x)
+    f2 = f21_real(-5.0 / 12.0, -5.0 / 12.0, 2.0 / 3.0, x)
     cval = -(24.0 * f1.value + f2.value) / 60.0
     cerr = (24.0 * f1.abs_error_estimate + f2.abs_error_estimate) / 60.0
-    f3 = f21_real(-1.0 / 12.0, -1.0 / 12.0, 1.0 / 3.0, x, tol)
-    f4 = f21_real(11.0 / 12.0, -1.0 / 12.0, 4.0 / 3.0, x, tol)
+    f3 = f21_real(-1.0 / 12.0, -1.0 / 12.0, 1.0 / 3.0, x)
+    f4 = f21_real(11.0 / 12.0, -1.0 / 12.0, 4.0 / 3.0, x)
     dval = (91.0 / 384.0) * x * (4.0 * f3.value - 5.0 * f4.value)
     derr = abs(x) * (91.0 / 384.0) * (4.0 * f3.abs_error_estimate + 5.0 * f4.abs_error_estimate)
     return RealValue(cval, cerr + 5e-16 * abs(cval)), RealValue(dval, derr + 5e-16 * abs(dval))
@@ -447,7 +464,7 @@ def atkin_asymptotic(n: int, theta: float) -> float:
 _CANONICAL = (0.5, -2.0 / 3.0, 7.0 / 12.0)
 
 
-def buv_combination(n: int, x: float, tol: float = 1e-12) -> float:
+def buv_combination(n: int, x: float) -> float:
     """C(x) Utilde_n(x) + D(x) Ytilde_n(x) at the canonical parameters.
 
     Both tilde normalizations carry the same prefactor, the one that makes
@@ -457,6 +474,6 @@ def buv_combination(n: int, x: float, tol: float = 1e-12) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError("buv_combination requires x in (0, 1)")
     af, bf, cf = _CANONICAL
-    tu, ty = _uy_monic_seqs(af, bf, cf, x, n, tol)
-    cx, dx = c_and_d(x, tol)
+    tu, ty = _uy_monic_seqs(af, bf, cf, x, n)
+    cx, dx = c_and_d(x)
     return cx.value * tu[n][0] + dx.value * ty[n][0]

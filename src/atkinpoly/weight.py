@@ -23,15 +23,13 @@ _PI = math.pi
 _SQRT3 = math.sqrt(3.0)
 
 
+@functools.cache
 def lambda_star() -> float:
     """The weight's normalizing constant, via two gamma-product forms.
 
     Both forms are evaluated and must agree to 1e-12 relative; the mean
-    is returned.
+    is returned.  Cached: the forms are computed once per process.
     """
-    global _LAMBDA
-    if _LAMBDA is not None:
-        return _LAMBDA
     g = math.gamma
     form1 = g(2.0 / 3.0) * g(5.0 / 12.0) * g(11.0 / 12.0) / (
         g(4.0 / 3.0) * g(1.0 / 12.0) * g(7.0 / 12.0)
@@ -46,13 +44,10 @@ def lambda_star() -> float:
     lam = 0.5 * (form1 + form2)
     if not 0.0 < lam < 1.0:
         raise InternalInconsistency("lambda constant out of (0, 1): %r" % lam)
-    _LAMBDA = lam
-    return _LAMBDA
+    return lam
 
 
-_LAMBDA = None
-
-# default tolerance of quad_integrate and gram, and the last tanh-sinh
+# relative tolerance of quad_integrate and gram, and the last tanh-sinh
 # level tried before giving up
 _QUAD_TOLERANCE = 1e-10
 _QUAD_LEVEL_CAP = 12
@@ -225,43 +220,39 @@ def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int) -> float:
 _SPLIT = 864.0
 
 
-def _integrate_sing(g, tol: float) -> float:
+def _integrate_sing(g) -> float:
     """Integral over (0, 1728) of a distance-aware integrand g(x, d0, d1728)."""
-    cap = _QUAD_LEVEL_CAP
+    tol, cap = _QUAD_TOLERANCE, _QUAD_LEVEL_CAP
     left = _tanh_sinh_piece(lambda x, da, db: g(x, da, db + _SPLIT), 0.0, _SPLIT, tol, cap)
     right = _tanh_sinh_piece(lambda x, da, db: g(x, da + _SPLIT, db), _SPLIT, 1728.0, tol, cap)
     return left + right
 
 
-def quad_integrate(f, tol: float = None) -> float:
+def quad_integrate(f) -> float:
     """Integral of f over (0, 1728) by tanh-sinh quadrature.
 
     Handles integrands with at worst the weight's own endpoint behavior,
     but f sees only the node x, not its exact distance to 1728.  Nodes
     that round onto 0 or 1728 are dropped, and near 1728 the rounding of
     x itself costs accuracy: quad_integrate(weight_w) stops at 1095 nodes
-    with 0.9999999956, 4.4e-9 from the true mass 1 at the default
-    tolerance 1e-10.  gram, which hands the weight the exact distances,
-    gets gram(0, 0) = 1.0000000000007 from 129 nodes.
+    with 0.9999999956, 4.4e-9 from the true mass 1 at the tolerance
+    1e-10.  gram, which hands the weight the exact distances, gets
+    gram(0, 0) = 1.0000000000007 from 129 nodes.
     """
-    if tol is None:
-        tol = _QUAD_TOLERANCE
 
     def g(x, d0, d1728):
         if x <= 0.0 or x >= 1728.0:
             return 0.0
         return f(x)
 
-    return _integrate_sing(g, tol)
+    return _integrate_sing(g)
 
 
-def gram(m: int, n: int, tol: float = None) -> float:
+def gram(m: int, n: int) -> float:
     """Inner product of the degree-m and degree-n monic polynomials
     against the weight."""
     if not (0 <= m <= 8 and 0 <= n <= 8):
         raise DomainError("gram is supported for degrees up to 8")
-    if tol is None:
-        tol = _QUAD_TOLERANCE
     # float coefficients, highest degree first, converted once per call
     cm = [float(c) for c in reversed(atkin(m).coeffs)]
     cn = [float(c) for c in reversed(atkin(n).coeffs)]
@@ -274,4 +265,4 @@ def gram(m: int, n: int, tol: float = None) -> float:
             pn = pn * x + c
         return pm * pn * _w_core(x, d1728)
 
-    return _integrate_sing(g, tol)
+    return _integrate_sing(g)

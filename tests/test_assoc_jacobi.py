@@ -2,6 +2,7 @@
 double sums, the three representations, and the contiguous identities
 behind the explicit Atkin form."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -26,9 +27,44 @@ from atkinpoly.atkin import atkin_normalized
 from atkinpoly.errors import DomainError, ParameterDegeneracy
 from atkinpoly.exact import pochhammer
 from atkinpoly.hypergeom import pfq
-from atkinpoly.ratpoly import RatPoly
+from atkinpoly.ratpoly import RatPoly, affine_substitute
 
 CANON = S_SET[1]
+
+
+def _jacobi_loop(nmax, alpha, beta):
+    """Oracle: P_0..P_nmax^{(alpha,beta)} by the classical three-term
+    recurrence; ParameterDegeneracy stands in for every degree the loop
+    cannot reach past a vanishing recurrence denominator."""
+    ab = alpha + beta
+    out = [RatPoly.one(), RatPoly(((alpha - beta) / 2, (ab + 2) / 2))]
+    for m in range(1, nmax):
+        den = 2 * (m + 1) * (m + ab + 1) * (2 * m + ab)
+        if den == 0:
+            return out + [ParameterDegeneracy] * (nmax - m)
+        lin = RatPoly(
+            (
+                (2 * m + ab + 1) * (alpha * alpha - beta * beta) / den,
+                (2 * m + ab + 1) * (2 * m + ab) * (2 * m + ab + 2) / den,
+            )
+        )
+        out.append(lin * out[m] - (F(2 * (m + alpha) * (m + beta) * (2 * m + ab + 2)) / den) * out[m - 1])
+    return out[: nmax + 1]
+
+
+def _monic_jacobi_loop(n, alpha, beta, p):
+    """Oracle: n!/(n+alpha+beta+1)_n times the loop's P_n = p at 2x - 1."""
+    den = pochhammer(n + alpha + beta + 1, n)
+    if den == 0 or p is ParameterDegeneracy:
+        return ParameterDegeneracy
+    return F(math.factorial(n)) / den * affine_substitute(p, 2, -1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParameterDegeneracy:
+        return ParameterDegeneracy
 
 
 def test_s_set_characterization():
@@ -52,9 +88,35 @@ def test_jacobi_degenerate_parameters():
 
 
 def test_zero_association_recovers_monic_jacobi():
-    params = AJParams(F(1, 2), F(-2, 3), F(0))
-    for n in range(7):
-        assert assoc_V(n, params) == monic_jacobi(n, F(1, 2), F(-2, 3))
+    a, b = F(1, 2), F(-2, 3)
+    for n, p in enumerate(_jacobi_loop(6, a, b)):
+        assert assoc_V(n, AJParams(a, b, 0)) == _monic_jacobi_loop(n, a, b, p)
+
+
+# halves and thirds: alpha + beta = -1 (Chebyshev at -1/2, -1/2),
+# alpha = beta = 0 (Legendre), and the integer lines alpha + beta <= -2
+# on which the Jacobi normalization (n + alpha + beta + 1)_n can vanish
+_JACOBI_GRID = sorted({F(k, 2) for k in range(-6, 7)} | {F(-4, 3), F(-1, 3), F(2, 3)})
+
+
+def test_jacobi_families_match_the_classical_recurrence():
+    degenerate = 0
+    for alpha in _JACOBI_GRID:
+        for beta in _JACOBI_GRID:
+            for n, p in enumerate(_jacobi_loop(8, alpha, beta)):
+                want = _monic_jacobi_loop(n, alpha, beta, p)
+                assert _outcome(monic_jacobi, n, alpha, beta) == want, (n, alpha, beta)
+                if pochhammer(n + alpha + beta + 1, n) == 0:
+                    # the loop gives a polynomial of lower degree, or raises
+                    with pytest.raises(ParameterDegeneracy):
+                        jacobi_poly(n, alpha, beta)
+                    degenerate += 1
+                else:
+                    assert _outcome(jacobi_poly, n, alpha, beta) == p, (n, alpha, beta)
+    assert degenerate > 30
+    # monic Chebyshev T_4 and the monic Legendre polynomial on [0, 1]
+    assert monic_jacobi(4, F(-1, 2), F(-1, 2)) == RatPoly((F(1, 128), F(-1, 4), F(5, 4), -2, 1))
+    assert monic_jacobi(2, 0, 0) == RatPoly((F(1, 6), -1, 1))
 
 
 def test_printed_v_tables():

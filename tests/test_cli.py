@@ -187,8 +187,18 @@ def test_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
-def test_overflowing_degrees_exit_one_without_traceback():
+def _run_fresh(argv):
+    """The CLI in a fresh interpreter, with this checkout's package."""
     src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "atkinpoly.cli"] + argv,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_overflowing_degrees_exit_one_without_traceback():
     for argv in (
         ["asymptotic", "--n", "540", "--theta", "0.7"],
         ["genfun", "--which", "at-zero", "--n", "5000", "--t", "0.3"],
@@ -196,12 +206,7 @@ def test_overflowing_degrees_exit_one_without_traceback():
         ["genfun", "--which", "fjk", "--n", "1000", "--x", "0.5", "--t", "0.3"],
         ["genfun", "--which", "uy", "--n", "1000", "--x", "0.5", "--t", "0.3"],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "atkinpoly.cli"] + argv,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = _run_fresh(argv)
         assert proc.returncode == 1, argv
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -209,28 +214,63 @@ def test_overflowing_degrees_exit_one_without_traceback():
 
 
 def test_parameter_poles_exit_one_without_traceback():
-    # a pole of the 4F3 behind the explicit V form, and of lambda_2
-    src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    # a pole of the 4F3 behind the explicit V form, of lambda_2, and of the
+    # scale factors of the U/Y pair (c + 1 + n = 0) and of the profile (b = 0)
     for argv, message in (
         (["explicit-check", "--n", "3", "--form", "assoc-v", "--alpha", "0", "--beta", "0", "--c", "-1"],
          "denominator parameter 0 vanishes before the series terminates"),
         (["assoc-jacobi", "--n", "5", "--alpha", "0", "--beta", "0", "--c", "-5/2"],
          "lambda denominator vanishes at index 2"),
+        (["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "1/3", "--beta", "1/3", "--c", "-2"],
+         "scale factor has a pole at index 2"),
+        (["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--beta", "0"],
+         "scale factor has a pole at index 1"),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "atkinpoly.cli"] + argv,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = _run_fresh(argv)
         assert proc.returncode == 1, argv
         assert proc.stdout == ""
         assert proc.stderr == "atkinpoly: error: %s\n" % message  # one line, no traceback
 
 
-# sha256 of the stdout of each invocation at the degree cap, and of
-# selftest: a change to how the exact families, the explicit forms or the
-# weight are computed must leave these envelopes byte for byte as they are
+def test_truncation_orders_outside_the_domain_exit_one_without_traceback():
+    for argv, message in (
+        (["genfun", "--which", "uy", "--n", "0", "--t", "0.3"], "N must be positive"),
+        (["genfun", "--which", "at-zero", "--n", "-5", "--t", "0.3"], "N must be positive"),
+        (["genfun", "--which", "at-one", "--n", "0", "--t", "0.3"], "N must be positive"),
+        (["gram", "--n", "-1"], "gram --n must lie in 0..8"),
+        (["gram", "--n", "9"], "gram --n must lie in 0..8"),
+    ):
+        proc = _run_fresh(argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert proc.stderr == "atkinpoly: error: %s\n" % message  # one line, no traceback
+
+
+def test_chebyshev_is_the_zero_association_at_alpha_plus_beta_minus_one(capsys):
+    # at c = 0 the factor alpha + beta + 1 of lambda_0 cancels against its
+    # denominator, so the calligraphic family is the monic Chebyshev T_n
+    cheb = ["--n", "4", "--alpha", "-1/2", "--beta", "-1/2", "--c", "0"]
+    t4 = ["1/128", "-1/4", "5/4", "-2", "1"]
+    code, out = _run(capsys, ["assoc-jacobi"] + cheb + ["--variant", "calV"])
+    assert code == 0
+    assert json.loads(out)["results"]["coefficients"] == t4
+    code, out = _run(capsys, ["explicit-check", "--form", "assoc-calv"] + cheb)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["matched"] is True
+    assert results["explicit"] == t4
+    # V keeps the index-zero death rate, whose denominator still vanishes
+    assert main(["assoc-jacobi"] + cheb + ["--variant", "V"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "atkinpoly: error: mu denominator vanishes at index 0\n"
+
+
+# sha256 of the stdout of each invocation at the degree cap, of selftest,
+# and of the float envelopes at the weight's ends, the full Gram matrix and
+# the float horizons: a change to how the exact families, the explicit
+# forms, the series or the weight are computed must leave these envelopes
+# byte for byte as they are
 GOLDEN_STDOUT = (
     (["atkin", "--n", "200", "--scale", "normalized"],
      "c2a86ae36dfdd799efc206f9b5130de13ff584df308e88ab6b28fe00cc8a7c82"),
@@ -244,6 +284,24 @@ GOLDEN_STDOUT = (
      "b41c8636cba2bfdba913a39c0e78bd388cbbecfaef5d893d5b6b034d864acc0b"),
     (["selftest"],
      "801e5fadac2150a56d6228fb19ec923316d6f7d8c9c3fc4048b19db53a19e4e4"),
+    (["weight", "--x", "720"],
+     "9cf0c1604ea2a3a5844396a2bceea4a7b0467322949c77d0dc9c0078e3c682fc"),
+    (["weight", "--x", "1727.9999999999998"],
+     "72d7b6e91f5393ce8d276fcc4e06450e179f54c952df433d1006a8390fdaea6e"),
+    (["gram", "--n", "8"],
+     "6afc4c773d8a9920707cbfcd7dc6c3eeecf3bfd21d566b3d9ddb661bc5bc0210"),
+    (["asymptotic", "--n", "200", "--theta", "1.0", "--tol", "0.05"],
+     "99d7a7715ba719a059d52e1db62981cc6811df588d3f3ad2d98d72d72504d8dd"),
+    (["genfun", "--which", "fjk", "--n", "500", "--t", "0.3"],
+     "cf6ef5e62c93955e0546c1eda0415e6e3d56832941d936b9b5083f2ced7d8bbb"),
+    (["genfun", "--which", "uy", "--n", "500", "--t", "0.3"],
+     "79dd81a2d464bda5deaa697afe45db43ca74a147993598b67f63ad2253f20694"),
+    (["genfun", "--which", "catalan", "--n", "518", "--x", "0.3", "--t", "0.2"],
+     "e4d0b500732618a89db1e5cdbc058de18228e273f484edb59ffbc1bd752e1756"),
+    (["genfun", "--which", "at-zero", "--n", "518", "--t", "0.3"],
+     "45bbbd698b2f3b72c2dc9170fed828cd88c850ff7ef58f9666111a0a759ab05c"),
+    (["genfun", "--which", "at-one", "--n", "518", "--t", "0.3"],
+     "4278400232b06a6935df1d4b6dd0f281c69b4ca4b8d9a41ddbf2034d5d8b54b0"),
 )
 
 

@@ -4,6 +4,7 @@ with its endpoint specializations."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -157,6 +158,35 @@ def test_fjk_and_uy_stop_at_the_float_horizon():
         fjk_check(a, b, c, 0.5, 0.3, 1000)
     with pytest.raises(DomainError, match="the last horizon whose terms fit a double"):
         gen_uy_check(CANON, 0.5, 0.3, 1000)
+
+
+def test_float_horizon_is_refused_before_the_values_are_built():
+    # the scale factor alone is enough to name the horizon, so a huge N
+    # costs no more memory than the horizon itself
+    a, b, c = float(CANON.alpha), float(CANON.beta), float(CANON.c)
+    for check, args, horizon in ((fjk_check, (a, b, c, 0.5, 0.3), 513), (gen_uy_check, (CANON, 0.5, 0.3), 514)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="N = 100000 is past %d, the last horizon" % horizon):
+                check(*args, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (check.__name__, peak)
+
+
+def test_truncation_order_must_be_positive():
+    a, b, c = float(CANON.alpha), float(CANON.beta), float(CANON.c)
+    for call in (
+        lambda N: fjk_check(a, b, c, 0.5, 0.3, N),
+        lambda N: gen_uy_check(CANON, 0.5, 0.3, N),
+        lambda N: catalan_gen_check(0.5, 0.3, N),
+        lambda N: gen_at_zero(0.3, N),
+        lambda N: gen_at_one(0.3, N),
+    ):
+        for N in (0, -5):
+            with pytest.raises(DomainError, match="N must be positive"):
+                call(N)
 
 
 def test_endpoint_coefficient_identities():

@@ -28,14 +28,6 @@ def test_lambda_star_value():
     assert 0.0 < lam < 1.0
 
 
-def test_default_context():
-    # quad_integrate and gram default to the tolerance 1e-10, which is
-    # not the same as a looser or a tighter one
-    assert quad_integrate(weight_w) == quad_integrate(weight_w, 1e-10)
-    assert gram(1, 2) == gram(1, 2, 1e-10)
-    assert gram(1, 2, 1e-6) != gram(1, 2) != gram(1, 2, 1e-13)
-
-
 def test_f_pair_at_origin():
     f, fs = f_and_fstar(0.0)
     assert f == 1.0
