@@ -3,9 +3,10 @@ the normalized Atkin polynomials built from them.
 
 Two associated families appear, differing only in how the index-zero
 death rate enters the first polynomial: V keeps it, the calligraphic
-variant drops it.  Both are built from their birth and death rates
-(``aj_rates``) alone,
+variant drops it.  Both are generated from their birth and death rates
+(``aj_rates``) alone by ``ratpoly.MonicRecurrence``,
 
+    P_0 = 1,    P_1 = x - lambda_0 - mu_0,
     P_{m+1} = (x - lambda_m - mu_m) P_m - lambda_{m-1} mu_m P_{m-1},
 
 so from degree one on they satisfy the same three-term recurrence; a
@@ -14,12 +15,12 @@ at the first index that needs it.  The explicit double sums of Wimp are
 the second route.  At c = 0 the calligraphic variant is the monic Jacobi
 family, which is where the Jacobi polynomials here come from.  Four
 parameter triples (the S constants below) tie these families to the
-Atkin polynomials.
+normalized Atkin family, which is co-recursive: its rates are those of
+V at the second triple one index down, except lambda_0 = 5/12, mu_0 = 0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -128,14 +129,7 @@ def _assoc_family(params: AJParams, variant: Variant, n: int) -> RatPoly:
     key = (params.alpha, params.beta, params.c, variant)
     family = _FAMILY_CACHE.get(key)
     if family is None:
-        # step m reads the rates at m - 1 and m: one computation per index
-        rates = functools.cache(lambda m: aj_rates(params, m, variant))
-        lam0, mu0 = rates(0)
-        family = _FAMILY_CACHE[key] = MonicRecurrence(
-            (RatPoly.one(), RatPoly((-(lam0 + mu0), 1))),
-            lambda m: sum(rates(m)),
-            lambda m: rates(m - 1)[0] * rates(m)[1],
-        )
+        family = _FAMILY_CACHE[key] = MonicRecurrence(lambda m: aj_rates(params, m, variant))
     return family.poly(n)
 
 

@@ -1,15 +1,17 @@
 """The Atkin family of monic orthogonal polynomials.
 
-The original family A_n, orthogonal on (0, 1728), is generated by its
-three-term recurrence through ``ratpoly.MonicRecurrence``, which holds
-every member as integer numerators over a common denominator.  The
-normalized family A_n(1728 y)/1728^n, living on (0, 1), is read off
-those integers: its coefficient j is a_j / 1728^(n-j).  The normalized
-recurrence is kept in the tests as the second route.
+The normalized family, on (0, 1), is defined by its birth and death
+rates: ``atkin_rates(n)`` for n >= 1 and the co-recursive start
+lambda_0 = 5/12, mu_0 = 0.  A_n, orthogonal on (0, 1728), has 1728 times
+those rates; ``ratpoly.MonicRecurrence`` holds it as integer numerators
+over a common denominator, and A_n(1728 y)/1728^n is read off them
+(coefficient j is a_j/1728^(n-j)).  The multiplied-out recurrences are
+the second route, in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError
@@ -18,28 +20,25 @@ from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
 
-# recurrence coefficients of the original scale, valid for index n >= 2
-def _orig_shift(n: int) -> Fraction:
-    return _F(24 * (144 * n * n - 29), (2 * n + 1) * (2 * n - 1))
+
+def atkin_rates(n: int):
+    """Birth and death rates of the normalized family, n >= 1."""
+    if n < 1:
+        raise DomainError("rates are defined for n >= 1")
+    lam = _F((12 * n - 1) * (12 * n + 5), 288 * n * (2 * n + 1))
+    mu = _F((12 * n - 5) * (12 * n + 1), 288 * n * (2 * n - 1))
+    return lam, mu
 
 
-def _orig_prod(n: int) -> Fraction:
-    return _F(
-        36 * (12 * n - 13) * (12 * n - 7) * (12 * n - 5) * (12 * n + 1),
-        n * (n - 1) * (2 * n - 1) ** 2,
-    )
-
-
-_SEEDS_ORIGINAL = (
-    RatPoly((1,)),
-    RatPoly((-720, 1)),
-    RatPoly((269280, -1640, 1)),
-)
+@functools.cache
+def _rates(m: int):
+    """(lambda_m, mu_m) of the normalized family, co-recursive at m = 0."""
+    return (_F(5, 12), _F(0)) if m == 0 else atkin_rates(m)
 
 
 # Per-process caches, append-only and unbounded; filling them is
 # single-threaded.
-_ORIGINAL = MonicRecurrence(_SEEDS_ORIGINAL, _orig_shift, _orig_prod)
+_ORIGINAL = MonicRecurrence(lambda m: [_F(1728 * r.numerator, r.denominator) for r in _rates(m)])
 _NORMALIZED: dict = {}  # degree -> RatPoly
 
 
@@ -59,15 +58,6 @@ def atkin_normalized(n: int) -> RatPoly:
             den *= 1728
         p = _NORMALIZED[n] = RatPoly._from_fractions(coeffs)
     return p
-
-
-def atkin_rates(n: int):
-    """Birth and death rates of the normalized family, n >= 1."""
-    if n < 1:
-        raise DomainError("rates are defined for n >= 1")
-    lam = (n - _F(1, 12)) * (n + _F(5, 12)) / (2 * n * (2 * n + 1))
-    mu = (n - _F(5, 12)) * (n + _F(1, 12)) / (2 * n * (2 * n - 1))
-    return lam, mu
 
 
 def kz_explicit(n: int) -> RatPoly:
@@ -146,8 +136,9 @@ def atkin_normalized_value_seq(nmax: int, x: float):
     if nmax >= 2:
         out.append(x * x - float(_F(205, 216)) * x + float(_F(935, 10368)))
     for m in range(2, nmax):
-        shift = float(_orig_shift(m) / 1728)
-        prod = float(_orig_prod(m) / 1728**2)
+        lam, mu = _rates(m)
+        shift = float(lam + mu)
+        prod = float(_rates(m - 1)[0] * mu)
         out.append((x - shift) * out[m] - prod * out[m - 1])
     return out[: nmax + 1]
 

@@ -67,6 +67,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
 def _coeff_strings(poly) -> list:
     return [rat_str(c) for c in poly.coeffs]
 
@@ -338,8 +348,8 @@ def build_parser() -> _Parser:
 
     p = add("asymptotic", _cmd_asymptotic, "asymptotic value against the recurrence")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--theta", type=_finite, required=True)
+    p.add_argument("--tol", type=_finite, default=None)
 
     p = add("genfun", _cmd_genfun, "generating-function identity residual")
     p.add_argument(
@@ -348,15 +358,15 @@ def build_parser() -> _Parser:
         required=True,
     )
     p.add_argument("--n", type=int, required=True, help="truncation order")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, default=0.5)
+    p.add_argument("--t", type=_finite, required=True)
+    p.add_argument("--x", type=_finite, default=0.5)
     p.add_argument("--alpha", type=_rational, default=Fraction(1, 2))
     p.add_argument("--beta", type=_rational, default=Fraction(-2, 3))
     p.add_argument("--c", type=_rational, default=Fraction(7, 12))
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite, default=None)
 
     p = add("weight", _cmd_weight, "orthogonality weight at a point")
-    p.add_argument("--x", type=float, required=True, help="point in (0, 1728)")
+    p.add_argument("--x", type=_finite, required=True, help="point in (0, 1728)")
 
     p = add("gram", _cmd_gram, "Gram matrix of the first Atkin polynomials")
     p.add_argument("--n", type=int, required=True, help="largest degree, at most 8")

@@ -312,6 +312,14 @@ def _scale_factors(nmax: int, ratio) -> list:
     return gs
 
 
+def _seed_scale(alpha: float, beta: float, c: float) -> float:
+    """The factor that puts the degree-one seed on the monic scale."""
+    s = alpha + beta + 2 * c
+    if (s + 1.0) * (s + 2.0) == 0.0:
+        raise DomainError("the scale of the degree-one seed has a pole")
+    return (c + 1.0) * (alpha + beta + c + 1.0) / ((s + 1.0) * (s + 2.0))
+
+
 def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int):
     """Values of 2F1(b - n, n + a; d; x) for n = 0..nmax, as RealValues."""
     al = a + b - d
@@ -327,7 +335,7 @@ def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int):
     f0 = f21_real(b, a, d, x)
     f1 = f21_real(b - 1.0, a + 1.0, d, x)
     u1 = -(be + cc + 1.0) / (cc + 1.0)
-    s1 = (cc + 1.0) * (al + be + cc + 1.0) / ((al + be + 2 * cc + 1.0) * (al + be + 2 * cc + 2.0))
+    s1 = _seed_scale(al, be, cc)
     if nmax == 0:
         return [f0]
     vals, errs = _monic_seq(
@@ -335,10 +343,6 @@ def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int):
         (s1 * u1 * f1.value, abs(s1 * u1) * f1.abs_error_estimate),
     )
     return [RealValue(g * v, abs(g) * e) for g, v, e in zip(gs, vals, errs)]
-
-
-def _params_floats(params):
-    return float(params.alpha), float(params.beta), float(params.c)
 
 
 def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
@@ -356,9 +360,7 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
     y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x)
     y1s = f21_real(-1.0 - bf - cf, af + cf + 2.0, 1.0 - bf, x)
     y1 = -(af + cf + 1.0) / (af + bf + cf + 1.0) * y1s.value
-    su = (cf + 1.0) * (af + bf + cf + 1.0) / (
-        (af + bf + 2 * cf + 1.0) * (af + bf + 2 * cf + 2.0)
-    )
+    su = _seed_scale(af, bf, cf)
     if nmax == 0:
         return ([(u0.value, u0.abs_error_estimate)], [(y0.value, y0.abs_error_estimate)])
     uv, ue = _monic_seq(
@@ -374,7 +376,7 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
 
 def u_and_y_seq(params, x: float, nmax: int):
     """U_n(x) and Y_n(x) for n = 0..nmax at the given (alpha, beta, c)."""
-    af, bf, cf = _params_floats(params)
+    af, bf, cf = float(params.alpha), float(params.beta), float(params.c)
     gs = _scale_factors(nmax, lambda n: (
         (af + bf + 2 * cf + 1.0 + 2 * n) * (af + bf + 2 * cf + 2.0 + 2 * n)
         / ((cf + 1.0 + n) * (af + bf + cf + 1.0 + n))

@@ -1,5 +1,5 @@
 """Dense univariate polynomials over the rationals, and the engine that
-generates the members of a monic three-term recurrence.
+generates a monic three-term recurrence from its birth and death rates.
 
 Coefficients are stored ascending by degree with trailing zeros trimmed,
 so the zero polynomial is the empty tuple and the leading coefficient of
@@ -150,30 +150,35 @@ def affine_substitute(p: RatPoly, a, b) -> RatPoly:
 
 
 class MonicRecurrence:
-    """Members of the monic three-term recurrence
+    """Members of the monic three-term recurrence with birth and death
+    rates (lambda_m, mu_m),
 
-        P_{m+1} = (x - shift(m)) P_m - prod(m) P_{m-1}
+        P_0 = 1,    P_1 = x - lambda_0 - mu_0,
+        P_{m+1} = (x - lambda_m - mu_m) P_m - lambda_{m-1} mu_m P_{m-1}.
 
-    started from ``seeds`` = (P_0, ..., P_s), s >= 1; ``shift(m)`` and
-    ``prod(m)`` are ints or Fractions, asked for once per step, in order
-    from m = s on.  An exception they raise at step m leaves P_0..P_m in
-    place and reaches the caller again on every request past degree m.
+    ``rates(m)`` returns (lambda_m, mu_m), ints or Fractions, and is asked
+    once per index, in order: index 0 at construction, so a pole there
+    raises from the constructor.  An exception at index m >= 1 leaves
+    P_0..P_m in place and reaches the caller again on every request past
+    degree m.
 
     Every member is held as a tuple of integer numerators over one common
     denominator, reduced by their gcd, so the denominator is the least
     common denominator of the coefficients.  A step reads the last two
     members only and costs O(m) integer operations and no Fraction
-    arithmetic.  ``member(n)`` hands out that integer pair; ``poly(n)``
-    builds the RatPoly of P_n on request and caches it.  Both caches are
-    append-only and unbounded, and live as long as the object; filling
-    them is not thread-safe.
+    arithmetic beyond the rates.  ``member(n)`` hands out that integer
+    pair; ``poly(n)`` builds the RatPoly of P_n on request and caches it.
+    Both caches are append-only and unbounded, and live as long as the
+    object; filling them is not thread-safe.
     """
 
-    def __init__(self, seeds, shift, prod):
-        self._members = [_over_common_denominator(p) for p in seeds]
-        self._polys = dict(enumerate(seeds))
-        self._shift = shift
-        self._prod = prod
+    def __init__(self, rates):
+        lam, mu = rates(0)
+        s = lam + mu
+        self._members = [((1,), 1), ((-s.numerator, s.denominator), s.denominator)]
+        self._polys = {}
+        self._rates = rates
+        self._lam = lam  # lambda_{m-1} for the next step m
 
     def member(self, n: int):
         """(numerators, d) with P_n = sum numerators[j] x^j / d, d > 0 the
@@ -195,8 +200,9 @@ class MonicRecurrence:
 
     def _step(self, m: int):
         (prev, prev_den), (cur, cur_den) = self._members[-2], self._members[-1]
-        s = self._shift(m)
-        q = self._prod(m)
+        lam, mu = self._rates(m)
+        s = lam + mu
+        q = self._lam * mu
         # P_{m+1} = x*cur/cur_den - s*cur/cur_den - q*prev/prev_den, over den
         den = lcm(cur_den * s.denominator, prev_den * q.denominator)
         u = den // cur_den
@@ -207,17 +213,11 @@ class MonicRecurrence:
             nxt[i] -= v * c
         for i, c in enumerate(prev):
             nxt[i] -= w * c
+        self._lam = lam
         g = gcd(den, *nxt)
         if g > 1:
             return tuple([c // g for c in nxt]), den // g
         return tuple(nxt), den
-
-
-def _over_common_denominator(p: RatPoly):
-    """(numerators, d) with p = sum numerators[j] x^j / d and d the least
-    common denominator of p's coefficients."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in p.coeffs), den
 
 
 def reduce_mod_p(p: RatPoly, prime: int) -> FpPoly:

@@ -87,16 +87,17 @@ def phi(J: float) -> float:
     return _PI / 3.0 + 2.0 * math.atan2(im, re)
 
 
-def _phi_prime(J: float, one_minus_J: float, f: float, fs: float, lam: float) -> float:
-    re, im = _n_parts(J ** (1.0 / 3.0), f, fs, lam)
-    return lam / _SQRT3 * J ** (-2.0 / 3.0) / math.sqrt(one_minus_J) / (re * re + im * im)
+def _phi_prime(J_cuberoot: float, one_minus_J: float, f: float, fs: float, lam: float) -> float:
+    # the cube root, not J: j^(1/3)/12 keeps the digits a subnormal j/1728 loses
+    re, im = _n_parts(J_cuberoot, f, fs, lam)
+    return lam / _SQRT3 / (J_cuberoot * J_cuberoot) / math.sqrt(one_minus_J) / (re * re + im * im)
 
 
 def phi_prime(J: float) -> float:
     """Derivative of the angle map; positive on (0, 1)."""
     if not 0.0 < J < 1.0:
         raise DomainError("phi_prime requires J in (0, 1)")
-    return _phi_prime(J, 1.0 - J, *f_and_fstar(J), lambda_star())
+    return _phi_prime(J ** (1.0 / 3.0), 1.0 - J, *f_and_fstar(J), lambda_star())
 
 
 def wronskian_residual(J: float) -> float:
@@ -123,7 +124,7 @@ def _w_core(j: float, dist_right: float) -> float:
     """Weight value with the distance to 1728 supplied exactly.
 
     Computes the explicit form and the phi-derivative form from one
-    shared (F, F*) evaluation and insists they agree; the two routes
+    shared (F, F*) and j^(1/3) evaluation and insists they agree; the two routes
     differ by nontrivial constant bookkeeping, so their agreement guards
     the 1728 lambda / pi prefactor.  Memoized: the guard runs once per
     distinct argument pair, and a failed guard caches nothing.
@@ -144,7 +145,7 @@ def _w_core(j: float, dist_right: float) -> float:
         / (re * re + im * im)
     )
     # change-of-variables route through the angle derivative
-    w_phi = 6.0 / (1728.0 * _PI) * _phi_prime(J, dist_right / 1728.0, f, fs, lam)
+    w_phi = 6.0 / (1728.0 * _PI) * _phi_prime(j3 / 12.0, dist_right / 1728.0, f, fs, lam)
     if abs(w_explicit - w_phi) > 1e-9 * abs(w_explicit):
         raise InternalInconsistency(
             "weight routes disagree at j=%r: %r vs %r" % (j, w_explicit, w_phi)

@@ -9,12 +9,19 @@ import sys
 import pytest
 
 import atkinpoly
+from atkinpoly import weight
 from atkinpoly.cli import MAX_EXACT_DEGREE, main
+
+
+def _refuse_constant(name):
+    raise ValueError("stdout holds the non-standard JSON token %s" % name)
 
 
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
+    if out:  # strict JSON: NaN and Infinity leaking into an envelope fail here
+        json.loads(out, parse_constant=_refuse_constant)
     return code, out
 
 
@@ -133,11 +140,36 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("flag, argv", (
+    ("--t", ["genfun", "--which", "fjk", "--n", "5"]),
+    ("--x", ["genfun", "--which", "catalan", "--n", "5", "--t", "0.2"]),
+    ("--x", ["weight"]),
+    ("--theta", ["asymptotic", "--n", "20"]),
+    ("--tol", ["asymptotic", "--n", "20", "--theta", "1.0"]),
+    ("--tol", ["genfun", "--which", "at-zero", "--n", "5", "--t", "0.3"]),
+))
+def test_non_finite_floats_are_usage_errors(capsys, flag, argv):
+    for value in ("nan", "inf", "-inf", "1e999", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["%s=%s" % (flag, value)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument %s: expected a finite number, got %r" % (flag, value) in captured.err
+
+
 def test_domain_errors_exit_one(capsys):
     code = main(["weight", "--x", "2000"])
     assert code == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_weight_at_a_subnormal_point(capsys):
+    # j/1728 is subnormal here; both weight routes still agree
+    code, out = _run(capsys, ["weight", "--x", "1e-315"])
+    assert code == 0
+    assert json.loads(out)["results"]["w"] == weight.weight_w(1e-315)
 
 
 def test_exact_degree_cap(capsys):
@@ -225,6 +257,14 @@ def test_parameter_poles_exit_one_without_traceback():
          "scale factor has a pole at index 2"),
         (["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--beta", "0"],
          "scale factor has a pole at index 1"),
+        # poles of the scale of the degree-one seed: alpha + beta + 2c = -1, -2
+        # (for fjk at alpha + beta = 0, -1)
+        (["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--alpha", "1/2", "--beta", "-1/2"],
+         "the scale of the degree-one seed has a pole"),
+        (["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--alpha", "1/2", "--beta", "-3/2"],
+         "the scale of the degree-one seed has a pole"),
+        (["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "1/3", "--beta", "0", "--c", "-2/3"],
+         "the scale of the degree-one seed has a pole"),
     ):
         proc = _run_fresh(argv)
         assert proc.returncode == 1, argv

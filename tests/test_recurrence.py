@@ -1,6 +1,7 @@
 """The fraction-free recurrence engine against the RatPoly-product loop
-it replaced, the normalized Atkin family against its own recurrence, and
-the associated families against their hand-simplified coefficients."""
+it replaced, the Atkin family on both scales against its multiplied-out
+recurrence, and the associated families against their hand-simplified
+coefficients."""
 
 import importlib
 import random
@@ -13,10 +14,31 @@ from atkinpoly.assoc_jacobi import S_SET, AJParams, Variant, aj_rates, assoc_cal
 from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq, atkin_rates
 from atkinpoly.cli import MAX_EXACT_DEGREE
 from atkinpoly.errors import DomainError, ParameterDegeneracy
-from atkinpoly.ratpoly import MonicRecurrence, RatPoly
+from atkinpoly.ratpoly import MonicRecurrence, RatPoly, affine_substitute
 
 # the package namespace binds the name atkin to the function
 atkin_module = importlib.import_module("atkinpoly.atkin")
+
+
+# The original-scale recurrence with lambda_m + mu_m and lambda_{m-1} mu_m
+# multiplied out, valid for index m >= 2, and its first three members:
+# the second route to the rates that atkin steps with.
+def _orig_shift(m):
+    return F(24 * (144 * m * m - 29), (2 * m + 1) * (2 * m - 1))
+
+
+def _orig_prod(m):
+    return F(
+        36 * (12 * m - 13) * (12 * m - 7) * (12 * m - 5) * (12 * m + 1),
+        m * (m - 1) * (2 * m - 1) ** 2,
+    )
+
+
+_SEEDS_ORIGINAL = (
+    RatPoly((1,)),
+    RatPoly((-720, 1)),
+    RatPoly((269280, -1640, 1)),
+)
 
 # The normalized family A_n(1728 y)/1728^n by its own recurrence, whose
 # coefficients are those of the original scale over 1728 and 1728^2:
@@ -29,11 +51,11 @@ _SEEDS_NORMALIZED = (
 
 
 def _norm_shift(m):
-    return atkin_module._orig_shift(m) / 1728
+    return _orig_shift(m) / 1728
 
 
 def _norm_prod(m):
-    return atkin_module._orig_prod(m) / (1728 * 1728)
+    return _orig_prod(m) / (1728 * 1728)
 
 
 # The associated families' recurrence with lambda_m + mu_m and
@@ -73,12 +95,13 @@ def _fraction_loop(seeds, shift, prod, n):
 
 
 def test_engine_builds_monic_legendre():
-    # monic Legendre: shift 0, prod m^2 / (4m^2 - 1)
-    legendre = MonicRecurrence((RatPoly.one(), RatPoly.x()), lambda m: 0, lambda m: F(m * m, 4 * m * m - 1))
-    assert legendre.poly(3) == RatPoly((0, F(-3, 5), 0, 1))
-    assert legendre.poly(4) == RatPoly((F(3, 35), 0, F(-6, 7), 0, 1))
+    # birth and death rates of the Legendre family on [0, 2]: shift 1,
+    # product m^2 / (4m^2 - 1); P_n(x + 1) is the monic Legendre polynomial
+    legendre = MonicRecurrence(lambda m: (F(m + 1, 2 * m + 1), F(m, 2 * m + 1)))
+    assert affine_substitute(legendre.poly(3), 1, 1) == RatPoly((0, F(-3, 5), 0, 1))
+    assert affine_substitute(legendre.poly(4), 1, 1) == RatPoly((F(3, 35), 0, F(-6, 7), 0, 1))
     assert len(legendre._members) == 5  # members past the one asked for are not built
-    assert legendre.poly(2) == RatPoly((F(-1, 3), 0, 1))
+    assert affine_substitute(legendre.poly(2), 1, 1) == RatPoly((F(-1, 3), 0, 1))
     with pytest.raises(DomainError):
         legendre.poly(-1)
 
@@ -87,20 +110,26 @@ def test_members_on_request_in_any_order():
     canon = S_SET[1]
     lam0, mu0 = aj_rates(canon, 0, Variant.V)
     families = (
-        (atkin_module._SEEDS_ORIGINAL, atkin_module._orig_shift, atkin_module._orig_prod),
         (
-            (RatPoly.one(), RatPoly((-(lam0 + mu0), 1))),
-            lambda m: _vrec_shift(canon, m),
-            lambda m: _vrec_prod(canon, m),
+            (_SEEDS_ORIGINAL, _orig_shift, _orig_prod),
+            lambda m: (1728 * F(5, 12), 0) if m == 0 else [1728 * r for r in atkin_rates(m)],
+        ),
+        (
+            (
+                (RatPoly.one(), RatPoly((-(lam0 + mu0), 1))),
+                lambda m: _vrec_shift(canon, m),
+                lambda m: _vrec_prod(canon, m),
+            ),
+            lambda m: aj_rates(canon, m, Variant.V),
         ),
     )
     rng = random.Random(6)
-    for seeds, shift, prod in families:
+    for (seeds, shift, prod), rates in families:
         oracle = _fraction_loop(seeds, shift, prod, 40)
-        engine = MonicRecurrence(seeds, shift, prod)
+        engine = MonicRecurrence(rates)
         order = list(range(41))
         rng.shuffle(order)
-        generated = len(seeds)
+        generated = 2  # P_0 and P_1 are built with the engine
         for n in order:
             p = engine.poly(n)
             assert p == oracle[n]
@@ -113,10 +142,27 @@ def test_members_on_request_in_any_order():
             assert [F(c, den) for c in nums] == list(p.coeffs)
 
 
+def test_a_raising_rate_raises_again_and_keeps_the_members_before_it():
+    asked = []
+
+    def rates(m):
+        asked.append(m)
+        if m == 3:
+            raise ParameterDegeneracy("pole at index 3")
+        return F(m + 1, 2 * m + 1), F(m, 2 * m + 1)
+
+    engine = MonicRecurrence(rates)
+    before = [engine.poly(n) for n in range(4)]
+    for n in (4, 7, 4):
+        with pytest.raises(ParameterDegeneracy, match="index 3$"):
+            engine.poly(n)
+        assert len(engine._members) == 4
+    assert [engine.poly(n) for n in range(4)] == before
+    assert asked == [0, 1, 2, 3, 3, 3]  # each index once until one raises
+
+
 def test_original_scale_matches_fraction_loop():
-    oracle = _fraction_loop(
-        atkin_module._SEEDS_ORIGINAL, atkin_module._orig_shift, atkin_module._orig_prod, 120
-    )
+    oracle = _fraction_loop(_SEEDS_ORIGINAL, _orig_shift, _orig_prod, 120)
     for n, expected in enumerate(oracle):
         assert atkin(n) == expected
 
@@ -128,7 +174,13 @@ def test_normalized_scale_matches_fraction_loop():
 
 
 def test_normalized_scale_matches_its_recurrence_past_the_cli_cap():
-    engine = MonicRecurrence(_SEEDS_NORMALIZED, _norm_shift, _norm_prod)
+    # the normalized rates multiply out to the normalized recurrence, and
+    # the engine on them reproduces the members read off A_n
+    for m in range(2, MAX_EXACT_DEGREE + 2):
+        lam, mu = atkin_rates(m)
+        assert lam + mu == _norm_shift(m)
+        assert atkin_rates(m - 1)[0] * mu == _norm_prod(m)
+    engine = MonicRecurrence(atkin_module._rates)
     for n in range(MAX_EXACT_DEGREE + 2):
         assert atkin_normalized(n).coeffs == engine.poly(n).coeffs
 

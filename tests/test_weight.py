@@ -82,6 +82,15 @@ def test_weight_positive():
         assert weight_w(1728.0 * k / 100.0) > 0.0
 
 
+def test_weight_near_zero_down_to_subnormal_points():
+    # below j/1728 ~ 1e-300 the weight is its leading term, a multiple of
+    # j^(-2/3); for j < 3.85e-305 the quotient j/1728 is subnormal, and the
+    # two routes behind weight_w must still agree
+    ref = weight_w(1e-300)
+    for j in (1e-304, 1e-310, 1e-315, 1e-320, 5e-324):
+        assert weight_w(j) / ref == pytest.approx((j / 1e-300) ** (-2.0 / 3.0), rel=1e-13)
+
+
 def test_weight_domain():
     with pytest.raises(DomainError):
         weight_w(0.0)
