@@ -30,7 +30,7 @@ from .atkin import (
     atkin_rates,
     kz_explicit,
 )
-from .exact import catalan, parse_rational, pochhammer, rat_str
+from .exact import catalan, pochhammer, rat_str
 from .fp import FpPoly, fp_gcd
 from .genfun import (
     DeltaEpsilon,
@@ -67,7 +67,6 @@ from .weight import (
     gram,
     lambda_star,
     phi,
-    phi_prime,
     quad_integrate,
     weight_w,
     wronskian_residual,

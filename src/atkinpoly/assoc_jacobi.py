@@ -22,7 +22,7 @@ V at the second triple one index down, except lambda_0 = 5/12, mu_0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -46,18 +46,19 @@ class Representation(Enum):
     REP3 = "Rep3"
 
 
-@dataclass(frozen=True)
-class AJParams:
-    """Parameter triple (alpha, beta, c) of an associated family."""
+class AJParams(namedtuple("AJParams", "alpha beta c")):
+    """Parameter triple (alpha, beta, c) of an associated family, each
+    coerced to a Fraction."""
 
-    alpha: Fraction
-    beta: Fraction
-    c: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "c", Fraction(self.c))
+    def __new__(cls, alpha, beta, c):
+        return super().__new__(cls, Fraction(alpha), Fraction(beta), Fraction(c))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the coercion
+        return cls(*iterable)
 
 
 # The four triples with alpha + beta + 2c = 1.  V is the same polynomial

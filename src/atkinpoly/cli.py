@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import assoc_jacobi as aj
-from . import genfun, selftest, supersingular, weight
+from . import genfun, supersingular, weight
 from .atkin import (
     atkin,
     atkin_normalized,
@@ -32,16 +32,16 @@ from .atkin import (
     kz_explicit,
 )
 from .errors import AtkinError, DomainError
-from .exact import parse_rational, rat_str
+from .exact import rat_str
 from .hypergeom import atkin_asymptotic
 
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
 # Largest --n of the exact subcommands (atkin, assoc-jacobi, rep-check,
 # explicit-check).  The slowest of them at the cap, explicit-check --form
-# hypergeometric, takes about 0.3 s as a fresh process on a 2-vCPU Xeon
-# VM; without a cap, the coefficients of A_n pass Python's 4300-digit
-# int-to-str limit by n of about 1600.
+# binomial, takes about 1 s as a fresh process on a 2-vCPU Xeon VM
+# (--form hypergeometric about 0.3 s); without a cap, the coefficients of
+# A_n pass Python's 4300-digit int-to-str limit by n of about 1600.
 MAX_EXACT_DEGREE = 200
 _EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
 
@@ -49,8 +49,9 @@ _EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let bare negative rationals like -2/3 reach rational-valued flags
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?(\.\d+)?$")
+        # let bare negative numbers reach the value flags: rationals like
+        # -2/3 and decimals like -0.5, -.5, -5. and -1e-3
+        self._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
 
     # argparse exits with 2 on bad usage; keep 2 reserved for verification
     # failures and use 1 for usage problems instead.
@@ -62,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -297,6 +298,8 @@ def _cmd_supersingular(args):
 
 
 def _cmd_selftest(args):
+    from . import selftest  # only this subcommand needs the acceptance suite
+
     outcomes = selftest.run_all()
     records = [
         {"criterion": r.number, "passed": r.passed, "detail": r.detail}

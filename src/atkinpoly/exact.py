@@ -48,8 +48,3 @@ def rat_str(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of rat_str; also accepts plain decimal strings."""
-    return Fraction(s)

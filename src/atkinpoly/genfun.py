@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
 from .errors import ComplexBranch, DomainError
@@ -20,12 +20,8 @@ from .exact import catalan
 from .hypergeom import c_and_d, f21_profile_seq, f21_real, u_and_y_seq
 
 
-@dataclass(frozen=True)
-class DeltaEpsilon:
-    t: float
-    x: float
-    delta: float
-    epsilon: float
+class DeltaEpsilon(namedtuple("DeltaEpsilon", "t x delta epsilon")):
+    __slots__ = ()
 
 
 def delta_eps(t: float, x: float) -> DeltaEpsilon:
@@ -81,12 +77,10 @@ def fjk_check(a: float, b: float, d: float, x: float, t: float, N: int):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class GenUYResult:
-    u_partial_sum: float
-    u_closed_form: float
-    y_partial_sum: float
-    y_closed_form: float
+class GenUYResult(
+    namedtuple("GenUYResult", "u_partial_sum u_closed_form y_partial_sum y_closed_form")
+):
+    __slots__ = ()
 
 
 def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:

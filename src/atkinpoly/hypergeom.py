@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DenominatorPole, DomainError, NonConvergent
@@ -33,12 +33,10 @@ _SERIES_TOLERANCE = 1e-12
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class RealValue:
+class RealValue(namedtuple("RealValue", "value abs_error_estimate")):
     """A double plus an upper bound on its truncation error."""
 
-    value: float
-    abs_error_estimate: float
+    __slots__ = ()
 
 
 def pfq(numerator_params, denominator_params, argument) -> Fraction:

@@ -34,16 +34,8 @@ class RatPoly:
         return p
 
     @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "RatPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -51,11 +43,6 @@ class RatPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import assoc_jacobi as aj
@@ -26,12 +26,8 @@ from .ratpoly import RatPoly, poly_eval
 _F = Fraction
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    passed: bool
-    detail: str
-    elapsed: float
+class CriterionResult(namedtuple("CriterionResult", "number passed detail elapsed")):
+    __slots__ = ()
 
 
 def _check(fails: list, ok: bool, message: str):

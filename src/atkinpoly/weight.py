@@ -93,13 +93,6 @@ def _phi_prime(J_cuberoot: float, one_minus_J: float, f: float, fs: float, lam: 
     return lam / _SQRT3 / (J_cuberoot * J_cuberoot) / math.sqrt(one_minus_J) / (re * re + im * im)
 
 
-def phi_prime(J: float) -> float:
-    """Derivative of the angle map; positive on (0, 1)."""
-    if not 0.0 < J < 1.0:
-        raise DomainError("phi_prime requires J in (0, 1)")
-    return _phi_prime(J ** (1.0 / 3.0), 1.0 - J, *f_and_fstar(J), lambda_star())
-
-
 def wronskian_residual(J: float) -> float:
     """Residual between the series Wronskian of (F, F*) and its closed form."""
     if not 0.0 < J < 1.0:

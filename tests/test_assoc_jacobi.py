@@ -79,7 +79,7 @@ def test_jacobi_seed_values():
     assert jacobi_poly(2, F(0), F(0)) == RatPoly((F(-1, 2), 0, F(3, 2)))
     assert monic_jacobi(2, F(0), F(0)) == RatPoly((F(1, 6), -1, 1))
     for n in range(7):
-        assert monic_jacobi(n, F(1, 2), F(-2, 3)).leading_coefficient() == 1
+        assert monic_jacobi(n, F(1, 2), F(-2, 3)).coeffs[-1] == 1
 
 
 def test_jacobi_degenerate_parameters():
@@ -195,7 +195,7 @@ def test_second_solution_shift():
     (alpha, beta, c) recurrence on W_n := V_{n-1}(x; c+1), W_0 := 0,
     reproduces the shifted family."""
     shifted = AJParams(CANON.alpha, CANON.beta, CANON.c + 1)
-    w = {0: RatPoly.zero(), 1: RatPoly.one()}
+    w = {0: RatPoly(), 1: RatPoly.one()}
     for n in range(1, 11):
         lam, mu = aj_rates(CANON, n, Variant.V)
         lam_prev = aj_rates(CANON, n - 1, Variant.V)[0]
@@ -283,5 +283,5 @@ def test_explicit_prefactor_shape():
     # leading coefficient of the explicit double sum is forced to 1
     for params in S_SET:
         p = wimp_V_explicit(5, params)
-        assert p.leading_coefficient() == 1
+        assert p.coeffs[-1] == 1
         assert p.degree() == 5

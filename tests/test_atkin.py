@@ -41,8 +41,8 @@ def test_monic_and_degree():
     for n in range(26):
         p = atkin(n)
         assert p.degree() == n
-        assert p.leading_coefficient() == 1
-        assert atkin_normalized(n).leading_coefficient() == 1
+        assert p.coeffs[-1] == 1
+        assert atkin_normalized(n).coeffs[-1] == 1
 
 
 def test_normalized_is_rescaled_original():

@@ -158,6 +158,15 @@ def test_non_finite_floats_are_usage_errors(capsys, flag, argv):
         assert "error: argument %s: expected a finite number, got %r" % (flag, value) in captured.err
 
 
+@pytest.mark.parametrize("spelled, plain", [("-1e-3", "-0.001"), ("-.5", "-0.5"), ("-5E-1", "-0.5")])
+def test_negative_floats_in_any_spelling(capsys, spelled, plain):
+    argv = ["genfun", "--which", "at-zero", "--n", "5", "--t"]
+    assert _run(capsys, argv + [spelled]) == _run(capsys, argv + [plain])
+    code, out = _run(capsys, ["assoc-jacobi", "--n", "1", "--alpha", "-2/3", "--beta", spelled, "--c", "1"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["alpha"] == "-2/3"
+
+
 def test_domain_errors_exit_one(capsys):
     code = main(["weight", "--x", "2000"])
     assert code == 1
@@ -217,6 +226,22 @@ def test_import_does_not_load_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_dataclasses_inspect_or_selftest():
+    # every CLI call pays for what the import loads; selftest is loaded by
+    # its own subcommand only
+    src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
+    heavy = ("dataclasses", "inspect", "atkinpoly.selftest")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, atkinpoly, atkinpoly.cli; print([m for m in %r if m in sys.modules])" % (heavy,)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def _run_fresh(argv):

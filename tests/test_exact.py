@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from atkinpoly.exact import catalan, gen_binom_seq, parse_rational, pochhammer, rat_str
+from atkinpoly.cli import main
+from atkinpoly.exact import catalan, gen_binom_seq, pochhammer, rat_str
 
 
 def gen_binom(a, k):
@@ -66,7 +67,7 @@ def test_catalan_sequence():
 
 def test_rat_str_round_trip():
     for q in (F(3, 7), F(-5, 12), F(4), F(0), F(-9)):
-        assert parse_rational(rat_str(q)) == q
+        assert F(rat_str(q)) == q
 
 
 def test_rat_str_canonical():
@@ -75,9 +76,15 @@ def test_rat_str_canonical():
     assert rat_str(0) == "0"
 
 
-def test_parse_rational_rejects_junk():
-    for bad in ("", "a/b", "1.5/2"):
-        with pytest.raises(ValueError):
-            parse_rational(bad)
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("1/0")
+def test_parse_rational_rejects_junk(capsys):
+    # the CLI's rational flags read Fraction(text); junk is a usage error
+    cases = [
+        ["assoc-jacobi", "--n", "2", "--alpha", bad, "--beta", "0", "--c", "0"]
+        for bad in ("", "a/b", "1.5/2", "1/0")
+    ]
+    cases.append(["rep-check", "--n", "2", "--which", "rep1", "--rep1-coeff", "-1/0"])
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "error: argument --" in capsys.readouterr().err

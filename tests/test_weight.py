@@ -7,19 +7,24 @@ import pytest
 
 from atkinpoly.errors import DomainError, NonConvergent
 from atkinpoly.weight import (
+    _phi_prime,
     _tanh_sinh_piece,
     _w_core,
     f_and_fstar,
     gram,
     lambda_star,
     phi,
-    phi_prime,
     quad_integrate,
     weight_w,
     wronskian_residual,
 )
 
 LAMBDA_REF = 0.19371911939244263  # gamma-product form, checked both ways
+
+
+def phi_prime(J):
+    """Derivative of the angle map on (0, 1), from the kernel the weight uses."""
+    return _phi_prime(J ** (1.0 / 3.0), 1.0 - J, *f_and_fstar(J), lambda_star())
 
 
 def test_lambda_star_value():
