@@ -10,7 +10,7 @@ variant drops it.  Both are generated from their birth and death rates
     P_{m+1} = (x - lambda_m - mu_m) P_m - lambda_{m-1} mu_m P_{m-1},
 
 so from degree one on they satisfy the same three-term recurrence; a
-parameter triple at which a rate has a pole raises ParameterDegeneracy
+parameter triple at which a rate has a pole raises DomainError
 at the first index that needs it.  The explicit double sums of Wimp are
 the second route.  At c = 0 the calligraphic variant is the monic Jacobi
 family, which is where the Jacobi polynomials here come from.  Four
@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .atkin import atkin_normalized
-from .errors import DomainError, InternalInconsistency, ParameterDegeneracy
+from .errors import DomainError, InternalInconsistency
 from .exact import pochhammer
 from .hypergeom import pfq
 from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
@@ -108,16 +108,16 @@ def aj_rates(params: AJParams, n: int, variant) -> tuple:
         lam_num *= n + c + a + b + 1
         lam_den *= s + 1
     if lam_den == 0:
-        raise ParameterDegeneracy("lambda denominator vanishes at index %d" % n)
+        raise DomainError("lambda denominator vanishes at index %d" % n)
     lam = lam_num / lam_den
     if n == 0:
         if variant is Variant.CALV:
             return lam, _F(0)
         if s * (s + 1) == 0:
-            raise ParameterDegeneracy("mu denominator vanishes at index 0")
+            raise DomainError("mu denominator vanishes at index 0")
         return lam, c * (c + a) / (s * (s + 1))
     if s * (s + 1) == 0:
-        raise ParameterDegeneracy("mu denominator vanishes at index %d" % n)
+        raise DomainError("mu denominator vanishes at index %d" % n)
     return lam, (n + c) * (n + c + a) / (s * (s + 1))
 
 
@@ -152,7 +152,7 @@ def _explicit_pref(n: int, params: AJParams) -> Fraction:
     a, b, c = params.alpha, params.beta, params.c
     den = pochhammer(a + b + 2 * c + n + 1, n) * math.factorial(n)
     if den == 0:
-        raise ParameterDegeneracy("prefactor denominator vanishes at degree %d" % n)
+        raise DomainError("prefactor denominator vanishes at degree %d" % n)
     return _F(-1) ** n * pochhammer(c + 1, n) * pochhammer(b + c + 1, n) / den
 
 
@@ -175,7 +175,7 @@ def _explicit_form(n: int, params: AJParams, drop: int) -> RatPoly:
         if k:
             den = (c + k) * (c + b + k)
             if den == 0:
-                raise ParameterDegeneracy("coefficient denominator vanishes at power %d" % k)
+                raise DomainError("coefficient denominator vanishes at power %d" % k)
             ck *= (k - 1 - n) * (n + k + a + b + 2 * c) / den
         coeffs.append(pref * ck * f43)
     return RatPoly(coeffs)

@@ -9,9 +9,9 @@ JSON numbers in shortest round-trip decimal (the results block carries a
 precision note whenever reals appear).  Output is deterministic: sorted
 keys, no timestamps.
 
-Exit codes: 0 on success, 2 when a verification-style check fails or a
-computation does not converge, 1 on usage errors and on arguments
-outside the domain of the computation (a DomainError).
+Exit codes: 0 on success, 1 on usage errors and on a DomainError, 2 when
+a verification-style check fails, on a NonConvergent and on an
+InternalInconsistency (see atkinpoly.errors).
 """
 
 from __future__ import annotations
@@ -280,21 +280,17 @@ def _cmd_gram(args):
 
 
 def _cmd_supersingular(args):
-    report = supersingular.match_report(args.pmax)
-    records = []
-    bad = False
-    for rec in report:
-        records.append(
-            {"p": rec["p"], "degree": rec["deg_ss"], "matched": rec["matched"]}
-        )
-        if rec["matched"] is False:
-            bad = True
+    records = [
+        {"p": rec["p"], "degree": rec["deg_ss"], "matched": rec["matched"]}
+        for rec in supersingular.match_report(args.pmax)
+    ]
+    ok = all(rec["matched"] for rec in records)
     inputs = {"pmax": args.pmax}
     results = {"records": records}
     provenance = {
         "records": "Hasse invariant over F_p against the recurrence reduced mod p"
     }
-    return inputs, results, provenance, 2 if bad else 0
+    return inputs, results, provenance, 0 if ok else 2
 
 
 def _cmd_selftest(args):

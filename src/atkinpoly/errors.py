@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package: one class
+per failure kind, each with its own exit code in the CLI."""
 
 
 class AtkinError(Exception):
@@ -6,33 +7,15 @@ class AtkinError(Exception):
 
 
 class DomainError(AtkinError):
-    """Argument lies outside the mathematical domain of the operation."""
+    """Exit 1: the quantity is undefined at the arguments (a pole, a
+    composite prime, a negative discriminant, a value past the range of a
+    double), or an argument lies outside the range the operation takes."""
 
 
 class NonConvergent(AtkinError):
-    """A series or quadrature cannot meet its tolerance (bad
-    preconditions, or the term or level cap was reached)."""
-
-
-class DenominatorPole(DomainError):
-    """A denominator Pochhammer symbol vanishes inside a terminating sum."""
-
-
-class DenominatorNotInvertible(AtkinError):
-    """A rational coefficient has a denominator divisible by the prime."""
-
-
-class ParameterDegeneracy(DomainError):
-    """Recurrence coefficients are undefined for these parameters."""
-
-
-class ComplexBranch(DomainError):
-    """A real square root was requested but the discriminant is negative."""
-
-
-class InvalidPrime(DomainError):
-    """The prime argument is composite or smaller than 5."""
+    """Exit 2: the quantity exists, but the method cannot reach it (a
+    series or quadrature cap, an argument the formula does not cover)."""
 
 
 class InternalInconsistency(AtkinError):
-    """Two independent computations of the same quantity disagree."""
+    """Exit 2: two independent computations of the same quantity disagree."""

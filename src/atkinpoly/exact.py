@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DomainError
+
 
 def pochhammer(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); the empty product is 1."""
     if n < 0:
-        raise ValueError("pochhammer requires n >= 0")
+        raise DomainError("pochhammer requires n >= 0")
     a = Fraction(a)
     out = Fraction(1)
     for i in range(n):
@@ -38,7 +40,7 @@ def gen_binom_seq(a, count: int) -> list:
 def catalan(n: int) -> int:
     """Catalan number binomial(2n, n)/(n+1)."""
     if n < 0:
-        raise ValueError("catalan requires n >= 0")
+        raise DomainError("catalan requires n >= 0")
     return math.comb(2 * n, n) // (n + 1)
 
 

@@ -15,9 +15,9 @@ import math
 from collections import namedtuple
 
 from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
-from .errors import ComplexBranch, DomainError
+from .errors import DomainError
 from .exact import catalan
-from .hypergeom import c_and_d, f21_profile_seq, f21_real, u_and_y_seq
+from .hypergeom import c_and_d, checked_denominator, f21_profile_seq, f21_real, u_and_y_seq
 
 
 class DeltaEpsilon(namedtuple("DeltaEpsilon", "t x delta epsilon")):
@@ -30,7 +30,7 @@ def delta_eps(t: float, x: float) -> DeltaEpsilon:
         raise DomainError("t must be nonzero")
     disc = (1.0 + t) * (1.0 + t) - 4.0 * x * t
     if disc < 0.0:
-        raise ComplexBranch("discriminant negative at t=%r, x=%r" % (t, x))
+        raise DomainError("discriminant negative at t=%r, x=%r" % (t, x))
     root = math.sqrt(disc)
     # delta via the conjugate form; avoids cancellation for small x*t
     delta = 2.0 * x / ((1.0 + t) + root)
@@ -70,7 +70,7 @@ def fjk_check(a: float, b: float, d: float, x: float, t: float, N: int):
     rhs = (
         (x - t * de.delta) ** (a + d - b)
         * de.delta**b
-        / x ** (a + d)
+        / checked_denominator(x ** (a + d), "x=%r" % x)
         * f21_real(-a, b, d, de.delta).value
         * f21_real(a + d, a + 1.0, a + b + 1.0, t * de.delta / x).value
     )
@@ -108,13 +108,13 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
     ratio = t * de.delta / x
     rhs_u = (
         de.delta ** (af + bf + cf + 1.0)
-        / (x ** (bf + cf + 1.0) * (x - t * de.delta) ** af)
+        / checked_denominator(x ** (bf + cf + 1.0) * (x - t * de.delta) ** af, "x=%r" % x)
         * f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, de.delta).value
         * f21_real(bf + cf + 1.0, cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
     )
     rhs_y = (
         de.delta ** (af + cf + 1.0)
-        / (x ** (cf + 1.0) * (x - t * de.delta) ** af)
+        / checked_denominator(x ** (cf + 1.0) * (x - t * de.delta) ** af, "x=%r" % x)
         * f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, de.delta).value
         * f21_real(cf + 1.0, bf + cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
     )
@@ -173,7 +173,7 @@ def catalan_gen_check(x: float, t: float, N: int):
     )
     rhs = (
         delta ** (17.0 / 12.0)
-        / (x ** (11.0 / 12.0) * math.sqrt(x - t * delta))
+        / checked_denominator(x ** (11.0 / 12.0) * math.sqrt(x - t * delta), "x=%r" % x)
         * f21_real(11.0 / 12.0, 19.0 / 12.0, 3.0, t * delta / x).value
         * bracket
     )

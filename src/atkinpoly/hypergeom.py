@@ -23,9 +23,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DenominatorPole, DomainError, NonConvergent
-
-_F = Fraction
+from .errors import DomainError, NonConvergent
 
 _SERIES_CAP = 10**6
 # relative truncation tolerance of every Gauss series summed here
@@ -37,6 +35,13 @@ class RealValue(namedtuple("RealValue", "value abs_error_estimate")):
     """A double plus an upper bound on its truncation error."""
 
     __slots__ = ()
+
+
+def checked_denominator(value: float, where: str) -> float:
+    """A closed form's denominator, refused if a power in it underflowed."""
+    if value == 0.0:
+        raise DomainError("the denominator underflows to 0.0 at %s" % where)
+    return value
 
 
 def pfq(numerator_params, denominator_params, argument) -> Fraction:
@@ -57,7 +62,7 @@ def pfq(numerator_params, denominator_params, argument) -> Fraction:
     terms = int(min(stops))  # summation index runs 0..terms
     for b in dens:
         if b.denominator == 1 and b <= 0 and -b < terms:
-            raise DenominatorPole(
+            raise DomainError(
                 "denominator parameter %s vanishes before the series terminates" % b
             )
     # with D the common denominator of the parameters, A = aD and B = bD,
@@ -93,10 +98,10 @@ def _rgamma(x: float) -> float:
 def _series_f21(a: float, b: float, c: float, x: float, tol: float):
     """Direct Gauss series; caller guarantees |x| < 1 and c not in Z<=0.
 
-    Returns (value, tail_bound).  The tail bound is the current term times
-    the geometric bound q/(1-q) once the term ratio is provably below 1,
-    which it can only be past index neg + 1.  Absolute values are taken
-    by comparison, not by builtin calls, in this hot loop.
+    Returns (value, tail_bound, sum of |terms|).  The tail bound is the
+    current term times the geometric bound q/(1-q) once the term ratio is
+    provably below 1, which it can only be past index neg + 1.  Absolute
+    values are taken by comparison, not by builtin calls, in this hot loop.
     """
     total = 1.0
     term = 1.0
@@ -113,7 +118,7 @@ def _series_f21(a: float, b: float, c: float, x: float, tol: float):
         abssum += aterm
         k += 1
         if term == 0.0:
-            return total, 2.3e-16 * abssum
+            return total, 2.3e-16 * abssum, abssum
         if k > kmin:
             kb = k + big
             q = ax * kb * kb / ((k + 1.0) * (k - neg))
@@ -121,13 +126,13 @@ def _series_f21(a: float, b: float, c: float, x: float, tol: float):
                 tail = aterm * q / (1.0 - q)
                 scale = total if total >= 0.0 else -total
                 if tail <= tol * (scale if scale > 1.0 else 1.0):
-                    return total, tail + 2.3e-16 * abssum
+                    return total, tail + 2.3e-16 * abssum, abssum
     raise NonConvergent("2F1 series cap reached at x=%r" % x)
 
 
 def _check_c(c: float):
     if c <= 0 and c == math.floor(c):
-        raise NonConvergent("denominator parameter %r is a nonpositive integer" % c)
+        raise DomainError("denominator parameter %r is a nonpositive integer" % c)
 
 
 # unit roundoff of a double, and a bound on the relative error of
@@ -159,6 +164,16 @@ def _product_rel_error(factors) -> float:
     for x, dx in factors:
         rel += (_GAMMA_ULPS + 2.0) * _U + abs(_digamma(x)) * dx
     return rel
+
+
+def _denominator_shift(c: float, dc: float) -> float:
+    """Bound on the relative change of each term of a Gauss series when
+    its denominator parameter c moves by dc: dc times the sum of 1/|c + j|
+    over j below the series cap K, which is at most 1/d for the j nearest
+    the pole, at distance d, plus 4 + 2 log(2K) for the others."""
+    d = c if c > 0.0 else abs(c - round(c))
+    # d = 0: the series ended on a zero numerator before reaching the pole
+    return dc * ((1.0 / d if d > 0.0 else 0.0) + 4.0 + 2.0 * math.log(2.0 * _SERIES_CAP))
 
 
 @functools.lru_cache(maxsize=256)
@@ -211,13 +226,19 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     g2 = g2 * s**cab
     v = 0.0
     err = 0.0
+    # each series also moves with the rounding of its denominator
+    # parameter, a + b - c + 1 and c - a - b + 1
     if g1 != 0.0:
-        s1, e1 = _series_f21(a, b, a + b - c + 1.0, s, _SERIES_TOLERANCE)
+        c1 = a + b - c + 1.0
+        s1, e1, w1 = _series_f21(a, b, c1, s, _SERIES_TOLERANCE)
         v += g1 * s1
+        e1 += _denominator_shift(c1, _U * (abs(a + b) + abs(a + b - c) + abs(c1))) * w1
         err += abs(g1) * e1 + (5e-16 + rel1) * abs(g1 * s1)
     if g2 != 0.0:
-        s2, e2 = _series_f21(c - a, c - b, cab + 1.0, s, _SERIES_TOLERANCE)
+        c2 = cab + 1.0
+        s2, e2, w2 = _series_f21(c - a, c - b, c2, s, _SERIES_TOLERANCE)
         v += g2 * s2
+        e2 += _denominator_shift(c2, dcab + _U * abs(c2)) * w2
         # s**cab: the power's own rounding, its product with the gamma
         # factors, and the rounding of c - a - b amplified by |log s|
         rel2 += 2.0 * _U - math.log(s) * dcab
@@ -245,7 +266,7 @@ def f21_real(a: float, b: float, c: float, x: float) -> RealValue:
     if x <= -1.0:
         raise NonConvergent("argument at or below -1 is not supported")
     if x < 0.5:
-        v, e = _series_f21(a, b, c, x, _SERIES_TOLERANCE)
+        v, e, _ = _series_f21(a, b, c, x, _SERIES_TOLERANCE)
         return RealValue(v, e)
     return f21_near_one(a, b, c, 1.0 - x)
 
@@ -458,7 +479,8 @@ def atkin_asymptotic(n: int, theta: float) -> float:
         * math.cos(phase - 7.0 * math.pi / 12.0)
     )
     sign = -1.0 if n % 2 else 1.0
-    return sign / (2.0 ** (2 * n + 1) * ct * st ** (7.0 / 6.0)) * (term_c + term_d)
+    den = checked_denominator(2.0 ** (2 * n + 1) * ct * st ** (7.0 / 6.0), "theta=%r" % theta)
+    return sign / den * (term_c + term_d)
 
 
 _CANONICAL = (0.5, -2.0 / 3.0, 7.0 / 12.0)

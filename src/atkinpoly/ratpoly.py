@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DenominatorNotInvertible, DomainError
+from .errors import DomainError
 from .fp import FpPoly
 
 
@@ -212,7 +212,7 @@ def reduce_mod_p(p: RatPoly, prime: int) -> FpPoly:
     out = []
     for c in p.coeffs:
         if c.denominator % prime == 0:
-            raise DenominatorNotInvertible(
+            raise DomainError(
                 "coefficient %s has denominator divisible by %d" % (c, prime)
             )
         out.append(c.numerator * pow(c.denominator, prime - 2, prime) % prime)

@@ -262,6 +262,11 @@ def test_overflowing_degrees_exit_one_without_traceback():
         ["genfun", "--which", "catalan", "--n", "800", "--x", "0.5", "--t", "0.3"],
         ["genfun", "--which", "fjk", "--n", "1000", "--x", "0.5", "--t", "0.3"],
         ["genfun", "--which", "uy", "--n", "1000", "--x", "0.5", "--t", "0.3"],
+        # a power in the closed form's denominator underflows to 0.0
+        ["asymptotic", "--n", "100", "--theta", "1e-280"],
+        ["genfun", "--which", "uy", "--n", "40", "--t", "0.5", "--x", "1e-200"],
+        ["genfun", "--which", "catalan", "--n", "40", "--t", "0.5", "--x", "1e-250"],
+        ["genfun", "--which", "fjk", "--n", "40", "--t", "0.5", "--x", "1e-300"],
     ):
         proc = _run_fresh(argv)
         assert proc.returncode == 1, argv
@@ -290,6 +295,11 @@ def test_parameter_poles_exit_one_without_traceback():
          "the scale of the degree-one seed has a pole"),
         (["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "1/3", "--beta", "0", "--c", "-2/3"],
          "the scale of the degree-one seed has a pole"),
+        # a 2F1 denominator parameter at 0: c itself for fjk, 1 + beta for uy
+        (["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--c", "0"],
+         "denominator parameter 0.0 is a nonpositive integer"),
+        (["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--beta", "-1"],
+         "denominator parameter 0.0 is a nonpositive integer"),
     ):
         proc = _run_fresh(argv)
         assert proc.returncode == 1, argv

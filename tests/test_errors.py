@@ -1,0 +1,72 @@
+"""The error surface: one exception class per failure kind, and no
+other class raised anywhere in the package."""
+
+import ast
+import inspect
+import pathlib
+
+import atkinpoly
+from atkinpoly import errors
+
+_KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
+
+# (module file, enclosing function or None, class) raises that are not
+# failure kinds: argparse's own protocol, and the arithmetic error of
+# polynomial division by zero
+_ALLOWED_ELSEWHERE = {
+    ("cli.py", "error", "SystemExit"),
+    ("cli.py", "_rational", "ArgumentTypeError"),
+    ("cli.py", "_finite", "ArgumentTypeError"),
+    ("fp.py", "fp_divmod", "ZeroDivisionError"),
+}
+
+
+def test_errors_defines_exactly_the_failure_kinds():
+    defined = {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and obj.__module__ == errors.__name__
+    }
+    assert defined == _KINDS
+    for name in _KINDS - {"AtkinError"}:
+        assert getattr(errors, name).__bases__ == (errors.AtkinError,)
+
+
+def _raised_classes(tree):
+    """(enclosing function, raised class name) for every raise statement."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                name = exc.id
+            elif isinstance(exc, ast.Attribute):
+                name = exc.attr
+            else:
+                name = ast.dump(exc) if exc is not None else "<bare raise>"
+            found.append((function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_package_raises_only_the_failure_kinds():
+    package = pathlib.Path(atkinpoly.__file__).parent
+    seen = set()
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        for function, name in _raised_classes(ast.parse(path.read_text())):
+            if name in _KINDS:
+                seen.add(name)
+            elif (path.name, function, name) in _ALLOWED_ELSEWHERE:
+                seen.add((path.name, function, name))
+            else:
+                stray.append((path.name, function, name))
+    assert stray == []
+    # the scan found the raises it should, so it parsed what it meant to
+    assert {"DomainError", "NonConvergent", "InternalInconsistency"} <= seen
+    assert _ALLOWED_ELSEWHERE <= seen

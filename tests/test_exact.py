@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from atkinpoly.cli import main
+from atkinpoly.errors import DomainError
 from atkinpoly.exact import catalan, gen_binom_seq, pochhammer, rat_str
 
 
@@ -35,7 +36,7 @@ def test_pochhammer_hits_zero_at_negative_integer():
 
 
 def test_pochhammer_rejects_negative_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^pochhammer requires n >= 0$"):
         pochhammer(F(1, 2), -1)
 
 
@@ -63,6 +64,8 @@ def test_gen_binom_seq_matches_gen_binom():
 
 def test_catalan_sequence():
     assert [catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
+    with pytest.raises(DomainError, match="^catalan requires n >= 0$"):
+        catalan(-1)
 
 
 def test_rat_str_round_trip():
