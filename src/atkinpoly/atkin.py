@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exact import gen_binom_seq
+from .hypergeom import _monic_steps
 from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
@@ -34,6 +35,12 @@ def atkin_rates(n: int):
 def _rates(m: int):
     """(lambda_m, mu_m) of the normalized family, co-recursive at m = 0."""
     return (_F(5, 12), _F(0)) if m == 0 else atkin_rates(m)
+
+
+def _float_coeffs(m: int):
+    # shift lambda_m + mu_m and product lambda_{m-1} mu_m, rounded once each
+    lam, mu = _rates(m)
+    return float(lam + mu), float(_rates(m - 1)[0] * mu)
 
 
 # Per-process caches, append-only and unbounded; filling them is
@@ -122,25 +129,17 @@ def atkin_at_one_seq(nmax: int):
 def atkin_normalized_value_seq(nmax: int, x: float):
     """Float values of the normalized polynomials at x, degrees 0..nmax.
 
-    Runs the three-term recurrence in the value domain.  Unlike Horner on
-    the exact coefficients, which cancels catastrophically once the values
-    drop toward 4^-n, this stays accurate to a few ulp relative to the
-    solution envelope even for degrees in the hundreds.
+    Runs the three-term recurrence in the value domain, on the float
+    stepper of ``hypergeom``.  Unlike Horner on the exact coefficients,
+    which cancels catastrophically once the values drop toward 4^-n, this
+    stays accurate to a few ulp relative to the solution envelope.
     """
     if nmax < 0:
         raise DomainError("nmax must be nonnegative")
-    out = [1.0]
-    if nmax == 0:
-        return out
-    out.append(x - 5.0 / 12.0)
-    if nmax >= 2:
-        out.append(x * x - float(_F(205, 216)) * x + float(_F(935, 10368)))
-    for m in range(2, nmax):
-        lam, mu = _rates(m)
-        shift = float(lam + mu)
-        prod = float(_rates(m - 1)[0] * mu)
-        out.append((x - shift) * out[m] - prod * out[m - 1])
-    return out[: nmax + 1]
+    # degree 2 from its exact coefficients: a step at m = 1 rounds differently
+    seed = [1.0, x - 5.0 / 12.0, x * x - float(_F(205, 216)) * x + float(_F(935, 10368))]
+    [(vals, _)] = _monic_steps(_float_coeffs, x, nmax, [(seed, [0.0, 0.0, 0.0])])
+    return vals
 
 
 def atkin_normalized_value(n: int, x: float) -> float:

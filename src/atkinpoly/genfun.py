@@ -134,13 +134,21 @@ def _max_catalan_horizon() -> int:
         n += 1
 
 
-def _check_catalan_horizon(N: int):
-    # the Catalan sums multiply catalan(n + 1), n <= N, into doubles
-    limit = _max_catalan_horizon()
+def _catalan_sum(z: float, N: int, values) -> float:
+    """sum_{n<=N} catalan(n + 1) v_n z^n with v = values(N + 1), indexed
+    from degree 1; N past a horizon is refused before v is built.  Added
+    term by term: the builtin sum compensates from Python 3.12 on."""
+    _check_series(z, N)
+    limit = _max_catalan_horizon()  # catalan(n + 1), n <= N, goes into doubles
     if N > limit:
         raise DomainError(
             "N = %d is past %d, the last horizon whose Catalan weight fits a double" % (N, limit)
         )
+    vs = values(N + 1)
+    lhs = 0.0
+    for n in range(N + 1):
+        lhs += catalan(n + 1) * float(vs[n]) * z**n
+    return lhs
 
 
 def catalan_gen_check(x: float, t: float, N: int):
@@ -152,12 +160,7 @@ def catalan_gen_check(x: float, t: float, N: int):
     """
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in (0, 1)")
-    _check_series(t, N)
-    _check_catalan_horizon(N)
-    vals = atkin_normalized_value_seq(N + 1, x)
-    lhs = 0.0
-    for n in range(N + 1):
-        lhs += catalan(n + 1) * vals[n + 1] * t**n
+    lhs = _catalan_sum(t, N, lambda m: atkin_normalized_value_seq(m, x)[1:])
     if t == 0.0:
         delta = x
     else:
@@ -186,24 +189,14 @@ def gen_at_zero(t: float, N: int):
     Partial sum uses the exact constant terms; the closed form is
     (-5/12) 2F1(11/12, 17/12; 3; t) after the t -> -t flip.
     """
-    _check_series(t, N)
-    _check_catalan_horizon(N)
-    ends = atkin_at_zero_seq(N + 1)
-    lhs = 0.0
-    for n in range(N + 1):
-        lhs += catalan(n + 1) * float(ends[n]) * (-t) ** n
+    lhs = _catalan_sum(-t, N, atkin_at_zero_seq)
     rhs = -5.0 / 12.0 * f21_real(11.0 / 12.0, 17.0 / 12.0, 3.0, t).value
     return lhs, rhs
 
 
 def gen_at_one(t: float, N: int):
     """Value of the Catalan-weighted generating function at x = 1."""
-    _check_series(t, N)
-    _check_catalan_horizon(N)
-    ends = atkin_at_one_seq(N + 1)
-    lhs = 0.0
-    for n in range(N + 1):
-        lhs += catalan(n + 1) * float(ends[n]) * t**n
+    lhs = _catalan_sum(t, N, atkin_at_one_seq)
     rhs = 7.0 / 12.0 * f21_real(11.0 / 12.0, 19.0 / 12.0, 3.0, t).value
     return lhs, rhs
 

@@ -10,8 +10,9 @@ asymptotic right-hand sides.
 A note on large n: series like 2F1(b - n, n + a; d; x) are numerically
 hopeless when summed directly for n beyond roughly 25, because the terms
 grow to exp(2 n sqrt(x)) before collapsing to an O(1) answer.  Every
-such sequence here is therefore generated by the three-term recurrence
-it satisfies, seeded with two small-n values; that route keeps the
+such sequence is therefore run forward from small-n seeds on its
+three-term recurrence, by one float stepper, ``_monic_steps`` (the
+profile, U and Y together, and the Atkin values); that route keeps the
 relative error near machine level even at n = 200.
 """
 
@@ -96,7 +97,8 @@ def _rgamma(x: float) -> float:
 
 
 def _series_f21(a: float, b: float, c: float, x: float, tol: float):
-    """Direct Gauss series; caller guarantees |x| < 1 and c not in Z<=0.
+    """Direct Gauss series; caller guarantees |x| < 1.  At a nonpositive
+    integer c the series raises ZeroDivisionError if it reaches index -c.
 
     Returns (value, tail_bound, sum of |terms|).  The tail bound is the
     current term times the geometric bound q/(1-q) once the term ratio is
@@ -204,6 +206,17 @@ def _connection_gammas(a: float, b: float, c: float):
     return g1, g2, rel1, rel2, dcab
 
 
+def _connection_series(a: float, b: float, c: float, s: float):
+    # c, formed apart from c - a - b, may round onto a pole that c - a - b
+    # missed; the series can still end (zero numerator, underflow) before -c
+    try:
+        return _series_f21(a, b, c, s, _SERIES_TOLERANCE)
+    except ZeroDivisionError:
+        raise NonConvergent(
+            "series denominator parameter %r rounds to a pole of the connection formula" % c
+        ) from None
+
+
 def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     """2F1 at x = 1 - one_minus_x with the distance to 1 supplied exactly.
 
@@ -230,13 +243,13 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     # parameter, a + b - c + 1 and c - a - b + 1
     if g1 != 0.0:
         c1 = a + b - c + 1.0
-        s1, e1, w1 = _series_f21(a, b, c1, s, _SERIES_TOLERANCE)
+        s1, e1, w1 = _connection_series(a, b, c1, s)
         v += g1 * s1
         e1 += _denominator_shift(c1, _U * (abs(a + b) + abs(a + b - c) + abs(c1))) * w1
         err += abs(g1) * e1 + (5e-16 + rel1) * abs(g1 * s1)
     if g2 != 0.0:
         c2 = cab + 1.0
-        s2, e2, w2 = _series_f21(c - a, c - b, c2, s, _SERIES_TOLERANCE)
+        s2, e2, w2 = _connection_series(c - a, c - b, c2, s)
         v += g2 * s2
         e2 += _denominator_shift(c2, dcab + _U * abs(c2)) * w2
         # s**cab: the power's own rounding, its product with the gamma
@@ -292,22 +305,24 @@ def _monic_coeffs(alpha: float, beta: float, c: float, n: int):
     return shift, prod
 
 
-def _monic_seq(alpha: float, beta: float, c: float, x: float, nmax: int, t0, t1):
-    """Propagate a solution of the monic recurrence from two seed values.
+def _monic_steps(coeffs, x: float, nmax: int, seeds):
+    """Step solutions of y_{n+1} = (x - shift_n) y_n - prod_n y_{n-1} to n = nmax.
 
-    Seeds are (value, error) pairs; the error channel runs the same
-    recurrence on magnitudes so the output bounds stay honest.
+    Each seed is a (values, errors) pair of lists, the first entries of
+    one solution; stepping starts at their last index, with coeffs(n) =
+    (shift_n, prod_n) evaluated once per index for all of them.  The error
+    channel runs the same recurrence on magnitudes so the output bounds
+    stay honest.  Returns the seeds extended and cut to nmax + 1 entries.
     """
-    vals = [t0[0], t1[0]]
-    errs = [t0[1], t1[1]]
-    for n in range(1, nmax):
-        shift, prod = _monic_coeffs(alpha, beta, c, n)
-        v = (x - shift) * vals[n] - prod * vals[n - 1]
-        vals.append(v)
-        errs.append(
-            abs(x - shift) * errs[n] + abs(prod) * errs[n - 1] + 2.3e-16 * abs(v)
-        )
-    return vals[: nmax + 1], errs[: nmax + 1]
+    for n in range(len(seeds[0][0]) - 1, nmax):
+        shift, prod = coeffs(n)
+        d = x - shift
+        ad, ap = abs(d), abs(prod)
+        for vals, errs in seeds:
+            v = d * vals[n] - prod * vals[n - 1]
+            vals.append(v)
+            errs.append(ad * errs[n] + ap * errs[n - 1] + 2.3e-16 * abs(v))
+    return [(vals[: nmax + 1], errs[: nmax + 1]) for vals, errs in seeds]
 
 
 def _scale_factors(nmax: int, ratio) -> list:
@@ -355,23 +370,20 @@ def f21_profile_seq(a: float, b: float, d: float, x: float, nmax: int):
     f1 = f21_real(b - 1.0, a + 1.0, d, x)
     u1 = -(be + cc + 1.0) / (cc + 1.0)
     s1 = _seed_scale(al, be, cc)
-    if nmax == 0:
-        return [f0]
-    vals, errs = _monic_seq(
-        al, be, cc, x, nmax, (f0.value, f0.abs_error_estimate),
-        (s1 * u1 * f1.value, abs(s1 * u1) * f1.abs_error_estimate),
-    )
+    [(vals, errs)] = _monic_steps(functools.partial(_monic_coeffs, al, be, cc), x, nmax, [
+        ([f0.value, s1 * u1 * f1.value], [f0.abs_error_estimate, abs(s1 * u1) * f1.abs_error_estimate]),
+    ])
     return [RealValue(g * v, abs(g) * e) for g, v, e in zip(gs, vals, errs)]
 
 
 def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
-    """Tilde-normalized U and Y value sequences (with error channels).
+    """Tilde-normalized U and Y, as (values, errors) pairs of lists.
 
     Both carry the same prefactor, the one that makes U monic.  Under
     that shared scaling each is a solution of the same monic recurrence
     (for Y this is the monic scaling of the U family at parameters
     (alpha, -beta, beta+c), whose shift and product coincide); only the
-    seeds differ.
+    seeds differ, so the two are stepped together.
     """
     u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x)
     u1s = f21_real(-1.0 - cf, af + bf + cf + 2.0, 1.0 + bf, x)
@@ -380,17 +392,12 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
     y1s = f21_real(-1.0 - bf - cf, af + cf + 2.0, 1.0 - bf, x)
     y1 = -(af + cf + 1.0) / (af + bf + cf + 1.0) * y1s.value
     su = _seed_scale(af, bf, cf)
-    if nmax == 0:
-        return ([(u0.value, u0.abs_error_estimate)], [(y0.value, y0.abs_error_estimate)])
-    uv, ue = _monic_seq(
-        af, bf, cf, x, nmax, (u0.value, u0.abs_error_estimate),
-        (su * u1, abs(su * (bf + cf + 1.0) / (cf + 1.0)) * u1s.abs_error_estimate),
-    )
-    yv, ye = _monic_seq(
-        af, bf, cf, x, nmax, (y0.value, y0.abs_error_estimate),
-        (su * y1, abs(su * (af + cf + 1.0) / (af + bf + cf + 1.0)) * y1s.abs_error_estimate),
-    )
-    return (list(zip(uv, ue)), list(zip(yv, ye)))
+    return _monic_steps(functools.partial(_monic_coeffs, af, bf, cf), x, nmax, [
+        ([u0.value, su * u1],
+         [u0.abs_error_estimate, abs(su * (bf + cf + 1.0) / (cf + 1.0)) * u1s.abs_error_estimate]),
+        ([y0.value, su * y1],
+         [y0.abs_error_estimate, abs(su * (af + cf + 1.0) / (af + bf + cf + 1.0)) * y1s.abs_error_estimate]),
+    ])
 
 
 def u_and_y_seq(params, x: float, nmax: int):
@@ -400,9 +407,9 @@ def u_and_y_seq(params, x: float, nmax: int):
         (af + bf + 2 * cf + 1.0 + 2 * n) * (af + bf + 2 * cf + 2.0 + 2 * n)
         / ((cf + 1.0 + n) * (af + bf + cf + 1.0 + n))
     ))
-    tu, ty = _uy_monic_seqs(af, bf, cf, x, nmax)
-    us = [RealValue(g * v, abs(g) * e) for g, (v, e) in zip(gs, tu)]
-    ys = [RealValue(g * v, abs(g) * e) for g, (v, e) in zip(gs, ty)]
+    (uv, ue), (yv, ye) = _uy_monic_seqs(af, bf, cf, x, nmax)
+    us = [RealValue(g * v, abs(g) * e) for g, v, e in zip(gs, uv, ue)]
+    ys = [RealValue(g * v, abs(g) * e) for g, v, e in zip(gs, yv, ye)]
     return us, ys
 
 
@@ -496,6 +503,6 @@ def buv_combination(n: int, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError("buv_combination requires x in (0, 1)")
     af, bf, cf = _CANONICAL
-    tu, ty = _uy_monic_seqs(af, bf, cf, x, n)
+    (uv, _), (yv, _) = _uy_monic_seqs(af, bf, cf, x, n)
     cx, dx = c_and_d(x)
-    return cx.value * tu[n][0] + dx.value * ty[n][0]
+    return cx.value * uv[n] + dx.value * yv[n]

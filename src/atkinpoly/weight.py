@@ -125,10 +125,9 @@ def _w_core(j: float, dist_right: float) -> float:
     lam = lambda_star()
     J = j / 1728.0
     f, fs = _f_pair_dist(J, dist_right / 1728.0)
-    # explicit form; 12 F - lam exp(-i pi/3) j^(1/3) F* expanded into parts
+    # explicit form; 12 F - lam exp(-i pi/3) j^(1/3) F* in parts
     j3 = j ** (1.0 / 3.0)
-    re = 12.0 * f - 0.5 * lam * j3 * fs
-    im = 0.5 * _SQRT3 * lam * j3 * fs
+    re, im = _n_parts(j3, 12.0 * f, fs, lam)
     w_explicit = (
         1728.0
         * lam

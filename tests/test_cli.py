@@ -307,6 +307,16 @@ def test_parameter_poles_exit_one_without_traceback():
         assert proc.stderr == "atkinpoly: error: %s\n" % message  # one line, no traceback
 
 
+def test_rounded_pole_of_a_connection_series_exits_two_without_traceback():
+    # alpha = -2 makes c - a - b mathematically 2 in one 2F1 of the U/Y
+    # seeds; it rounds off 2, but a + b - c + 1 rounds to exactly -1.0
+    proc = _run_fresh(["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "-2"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("atkinpoly: NonConvergent:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_truncation_orders_outside_the_domain_exit_one_without_traceback():
     for argv, message in (
         (["genfun", "--which", "uy", "--n", "0", "--t", "0.3"], "N must be positive"),
@@ -377,6 +387,16 @@ GOLDEN_STDOUT = (
      "45bbbd698b2f3b72c2dc9170fed828cd88c850ff7ef58f9666111a0a759ab05c"),
     (["genfun", "--which", "at-one", "--n", "518", "--t", "0.3"],
      "4278400232b06a6935df1d4b6dd0f281c69b4ca4b8d9a41ddbf2034d5d8b54b0"),
+    # the edges of the float stepper: the last degree below the overflow
+    # of 2^(2n+1), and the shortest sums, which read only seed values
+    (["asymptotic", "--n", "511", "--theta", "1.0"],
+     "31474c73a2d9631944d7b3e63d7f1e352cf5854b6978b6f7d1c2acf138214c64"),
+    (["genfun", "--which", "fjk", "--n", "1", "--t", "0.3", "--tol", "1"],
+     "9e8d7afbf385a0afe8b28150c101578a73fa840381a55d809a29b364f7c121b8"),
+    (["genfun", "--which", "uy", "--n", "1", "--t", "0.3", "--tol", "1"],
+     "9debd5cd1919ea693ebeda143cb08da1f86baaded877e6644e902155970df76d"),
+    (["genfun", "--which", "catalan", "--n", "1", "--x", "0.3", "--t", "0.2", "--tol", "1"],
+     "2b0e25c66a45366e9fb9ab098dd4c45667c23e8c6aa3f7ef829fb1760f82174d"),
 )
 
 

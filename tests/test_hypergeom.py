@@ -8,11 +8,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from atkinpoly.assoc_jacobi import S_SET, assoc_V, assoc_calV
-from atkinpoly.atkin import atkin_normalized_value, atkin_normalized_value_seq
-from atkinpoly.errors import DomainError, NonConvergent
+from atkinpoly.assoc_jacobi import S_SET, AJParams, assoc_V, assoc_calV
+from atkinpoly.atkin import _rates, atkin_normalized_value, atkin_normalized_value_seq
+from atkinpoly.errors import AtkinError, DomainError, NonConvergent
 from atkinpoly.exact import pochhammer
 from atkinpoly.hypergeom import (
+    RealValue,
+    _monic_coeffs,
+    _scale_factors,
+    _seed_scale,
     _series_f21,
     atkin_asymptotic,
     buv_combination,
@@ -22,6 +26,7 @@ from atkinpoly.hypergeom import (
     f21_real,
     pfq,
     u_and_y,
+    u_and_y_seq,
     watson_rhs,
 )
 from atkinpoly.ratpoly import RatPoly
@@ -185,6 +190,15 @@ def test_f21_near_one_exact_distance():
     r = f21_near_one(0.5, 0.5, 1.5, 1e-8)
     full = math.asin(math.sqrt(1 - 1e-8)) / math.sqrt(1 - 1e-8)
     assert abs(r.value - full) <= 1e-10 * full
+
+
+def test_connection_series_reaching_a_rounded_pole_is_nonconvergent():
+    # c - a - b rounds to 1.9999999999999998, but the first series'
+    # denominator parameter a + b - c + 1 rounds to exactly -1.0
+    a, b, c = -0.5833333333333334, -1.083333333333333, 0.33333333333333337
+    assert a + b - c + 1.0 == -1.0 and c - a - b != 2.0
+    with pytest.raises(NonConvergent, match="^series denominator parameter -1.0 rounds to a pole"):
+        f21_near_one(a, b, c, 0.5)
 
 
 def test_profile_seq_matches_direct_series():
@@ -406,3 +420,155 @@ def test_f21_estimate_covers_the_rounding_of_the_series_parameters():
         with mpmath.workdps(40):
             err = abs(mpmath.mpf(r.value) - mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(s)))
         assert err <= r.abs_error_estimate, (a, b, c, s, r, float(err))
+
+
+# The float value loops as they were before every sequence ran on one
+# stepper; the stepper must reproduce them bit for bit, error channels
+# included.
+
+
+def _monic_seq_reference(alpha, beta, c, x, nmax, t0, t1):
+    vals = [t0[0], t1[0]]
+    errs = [t0[1], t1[1]]
+    for n in range(1, nmax):
+        shift, prod = _monic_coeffs(alpha, beta, c, n)
+        v = (x - shift) * vals[n] - prod * vals[n - 1]
+        vals.append(v)
+        errs.append(
+            abs(x - shift) * errs[n] + abs(prod) * errs[n - 1] + 2.3e-16 * abs(v)
+        )
+    return vals[: nmax + 1], errs[: nmax + 1]
+
+
+def _profile_reference(a, b, d, x, nmax):
+    al, be, cc = a + b - d, d - 1.0, -b
+    if abs(cc + 1.0) < 1e-12 or abs(be + cc + 1.0) < 1e-12:
+        raise DomainError("profile parameters degenerate the seed scaling")
+    gs = _scale_factors(nmax, lambda n: (
+        -(al + be + 2 * cc + 1.0 + 2 * n)
+        * (al + be + 2 * cc + 2.0 + 2 * n)
+        / ((be + cc + 1.0 + n) * (al + be + cc + 1.0 + n))
+    ))
+    f0 = f21_real(b, a, d, x)
+    f1 = f21_real(b - 1.0, a + 1.0, d, x)
+    u1 = -(be + cc + 1.0) / (cc + 1.0)
+    s1 = _seed_scale(al, be, cc)
+    if nmax == 0:
+        return [f0]
+    vals, errs = _monic_seq_reference(
+        al, be, cc, x, nmax, (f0.value, f0.abs_error_estimate),
+        (s1 * u1 * f1.value, abs(s1 * u1) * f1.abs_error_estimate),
+    )
+    return [RealValue(g * v, abs(g) * e) for g, v, e in zip(gs, vals, errs)]
+
+
+def _uy_monic_reference(af, bf, cf, x, nmax):
+    u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x)
+    u1s = f21_real(-1.0 - cf, af + bf + cf + 2.0, 1.0 + bf, x)
+    u1 = -(bf + cf + 1.0) / (cf + 1.0) * u1s.value
+    y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x)
+    y1s = f21_real(-1.0 - bf - cf, af + cf + 2.0, 1.0 - bf, x)
+    y1 = -(af + cf + 1.0) / (af + bf + cf + 1.0) * y1s.value
+    su = _seed_scale(af, bf, cf)
+    if nmax == 0:
+        return ([(u0.value, u0.abs_error_estimate)], [(y0.value, y0.abs_error_estimate)])
+    uv, ue = _monic_seq_reference(
+        af, bf, cf, x, nmax, (u0.value, u0.abs_error_estimate),
+        (su * u1, abs(su * (bf + cf + 1.0) / (cf + 1.0)) * u1s.abs_error_estimate),
+    )
+    yv, ye = _monic_seq_reference(
+        af, bf, cf, x, nmax, (y0.value, y0.abs_error_estimate),
+        (su * y1, abs(su * (af + cf + 1.0) / (af + bf + cf + 1.0)) * y1s.abs_error_estimate),
+    )
+    return (list(zip(uv, ue)), list(zip(yv, ye)))
+
+
+def _u_and_y_reference(params, x, nmax):
+    af, bf, cf = float(params.alpha), float(params.beta), float(params.c)
+    gs = _scale_factors(nmax, lambda n: (
+        (af + bf + 2 * cf + 1.0 + 2 * n) * (af + bf + 2 * cf + 2.0 + 2 * n)
+        / ((cf + 1.0 + n) * (af + bf + cf + 1.0 + n))
+    ))
+    tu, ty = _uy_monic_reference(af, bf, cf, x, nmax)
+    us = [RealValue(g * v, abs(g) * e) for g, (v, e) in zip(gs, tu)]
+    ys = [RealValue(g * v, abs(g) * e) for g, (v, e) in zip(gs, ty)]
+    return us, ys
+
+
+def _buv_reference(n, x):
+    tu, ty = _uy_monic_reference(0.5, -2.0 / 3.0, 7.0 / 12.0, x, n)
+    cx, dx = c_and_d(x)
+    return cx.value * tu[n][0] + dx.value * ty[n][0]
+
+
+def _atkin_values_reference(nmax, x):
+    out = [1.0]
+    if nmax == 0:
+        return out
+    out.append(x - 5.0 / 12.0)
+    if nmax >= 2:
+        out.append(x * x - float(F(205, 216)) * x + float(F(935, 10368)))
+    for m in range(2, nmax):
+        lam, mu = _rates(m)
+        shift = float(lam + mu)
+        prod = float(_rates(m - 1)[0] * mu)
+        out.append((x - shift) * out[m] - prod * out[m - 1])
+    return out[: nmax + 1]
+
+
+def _bits(fn, *args):
+    """Every double of a result as hex, or the failure's type and message."""
+    try:
+        result = fn(*args)
+    except AtkinError as exc:
+        return type(exc), str(exc)
+    flat = []
+    stack = [result]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(reversed(item))
+        else:
+            flat.append(item.hex())
+    return flat
+
+
+def _random_params(rng):
+    return AJParams(*(F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 12))) for _ in range(3)))
+
+
+def test_stepper_matches_the_loops_it_replaced_bitwise():
+    rng = random.Random(13)
+    horizons = (0, 1, 2, 0, 1, 2, 3, 7, 40, 200, 500)
+    for _ in range(150):
+        a, b, d = (rng.uniform(-3.0, 3.0) for _ in range(3))
+        args = (a, b, d, rng.uniform(0.01, 0.99), rng.choice(horizons))
+        assert _bits(f21_profile_seq, *args) == _bits(_profile_reference, *args), args
+    for _ in range(150):
+        args = (_random_params(rng), rng.uniform(0.01, 0.99), rng.choice(horizons))
+        assert _bits(u_and_y_seq, *args) == _bits(_u_and_y_reference, *args), args
+    for _ in range(60):
+        args = (rng.choice((0, 1, 2, 3, 30, 300)), rng.uniform(0.001, 0.999))
+        assert _bits(buv_combination, *args) == _bits(_buv_reference, *args), args
+    for _ in range(60):
+        args = (rng.choice((0, 1, 2, 3, 50, 527, 530, 533)), rng.uniform(-0.2, 1.2))
+        assert _bits(atkin_normalized_value_seq, *args) == _bits(_atkin_values_reference, *args), args
+
+
+@pytest.mark.parametrize("fn, reference, args", (
+    # the parameter poles of the genfun uy and fjk calls in test_cli.py,
+    # fjk (alpha, beta, c) being the profile at (beta, -alpha, c)
+    (u_and_y_seq, _u_and_y_reference, (AJParams(F(1, 3), F(1, 3), F(-2)), 0.5, 5)),
+    (f21_profile_seq, _profile_reference, (0.0, -0.5, 7.0 / 12.0, 0.5, 5)),
+    (f21_profile_seq, _profile_reference, (-0.5, -0.5, 7.0 / 12.0, 0.5, 5)),
+    (f21_profile_seq, _profile_reference, (-1.5, -0.5, 7.0 / 12.0, 0.5, 5)),
+    (u_and_y_seq, _u_and_y_reference, (AJParams(F(1, 3), F(0), F(-2, 3)), 0.5, 5)),
+    (f21_profile_seq, _profile_reference, (-2.0 / 3.0, -0.5, 0.0, 0.5, 5)),
+    (u_and_y_seq, _u_and_y_reference, (AJParams(F(1, 2), F(-1), F(7, 12)), 0.5, 5)),
+    # alpha + beta + 2c = -4: the shift and product degenerate at index 1
+    (u_and_y_seq, _u_and_y_reference, (AJParams(F(-3), F(0), F(-1, 2)), 0.3, 5)),
+))
+def test_stepper_fails_like_the_loops_it_replaced(fn, reference, args):
+    got = _bits(fn, *args)
+    assert isinstance(got, tuple) and issubclass(got[0], DomainError)
+    assert got == _bits(reference, *args)
