@@ -261,14 +261,8 @@ def ourrep_explicit(n: int) -> RatPoly:
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    if n == 0:
-        pref = _F(1)
-    else:
-        pref = (
-            pochhammer(_F(19, 12), n)
-            * pochhammer(_F(11, 12), n)
-            / (pochhammer(_F(n + 2), n) * pochhammer(_F(-n), n))
-        )
+    # (19/12)_n (11/12)_n / ((n + 2)_n (-n)_n), 1 at n = 0
+    pref = _explicit_pref(n, _CANONICAL)
     const = _F(-5, 12) * pfq((_F(-n), _F(n + 2), _F(7, 12)), (_F(19, 12), _F(2)), 1)
     coeffs = [pref * const]
     ck = _F(1)  # (-n)_k (n + 2)_k / ((19/12)_k (11/12)_k)

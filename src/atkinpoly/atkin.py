@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exact import gen_binom_seq
-from .hypergeom import _monic_steps
+from .hypergeom import _monic_steps, pfq
 from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
@@ -68,24 +68,21 @@ def atkin_normalized(n: int) -> RatPoly:
 
 
 def kz_explicit(n: int) -> RatPoly:
-    """Normalized polynomial of degree n from the double binomial sum.
+    """Normalized polynomial of degree n from the Kaneko-Zagier double
+    binomial sum; evaluated exactly, it must reproduce the recurrence.
 
-    The coefficient of x^(n-i) is a sum over m of signed products of four
-    generalized binomials divided by a binomial in 2n-1; evaluated
-    exactly, it must reproduce the recurrence output.  Each of the five
-    binomial sequences is built once, by term ratios.
+    Coefficient of x^(n-i): C(-1/12, i) C(-5/12, i) 4F3(-i, -i, -n-1/12, 7/12-n; 11/12-i, 7/12-i, 1-2n; 1).
+    It is the inner sum over m, by C(a, i-m) = C(a, i) (-1)^m (-i)_m/(a-i+1)_m.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    b1, b2, b3, b4, b5 = (
-        gen_binom_seq(a, n + 1)
-        for a in (_F(-1, 12), _F(-5, 12), n + _F(1, 12), n - _F(7, 12), 2 * n - 1)
-    )
-    left = [x * y for x, y in zip(b1, b2)]  # the factors indexed by i - m
-    right = [(-1) ** m * b3[m] * b4[m] / b5[m] for m in range(n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        coeffs[n - i] = sum((left[i - m] * right[m] for m in range(i + 1)), Fraction(0))
+    coeffs = [None] * (n + 1)
+    binoms = zip(gen_binom_seq(_F(-1, 12), n + 1), gen_binom_seq(_F(-5, 12), n + 1))
+    for i, (b1, b2) in enumerate(binoms):
+        # 1 - 2n never vanishes first: the series ends at i <= n <= 2n - 1
+        coeffs[n - i] = b1 * b2 * pfq(
+            (-i, -i, -n - _F(1, 12), _F(7, 12) - n), (_F(11, 12) - i, _F(7, 12) - i, 1 - 2 * n), 1
+        )
     return RatPoly(coeffs)
 
 

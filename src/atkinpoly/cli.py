@@ -38,10 +38,10 @@ from .hypergeom import atkin_asymptotic
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
 # Largest --n of the exact subcommands (atkin, assoc-jacobi, rep-check,
-# explicit-check).  The slowest of them at the cap, explicit-check --form
-# binomial, takes about 1 s as a fresh process on a 2-vCPU Xeon VM
-# (--form hypergeometric about 0.3 s); without a cap, the coefficients of
-# A_n pass Python's 4300-digit int-to-str limit by n of about 1600.
+# explicit-check).  The slowest of them at the cap, rep-check, takes about
+# 0.4 s as a fresh process on a 2-vCPU Xeon VM (every explicit-check form
+# about 0.3 s); without a cap, the coefficients of A_n pass Python's
+# 4300-digit int-to-str limit by n of about 1600.
 MAX_EXACT_DEGREE = 200
 _EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
 
@@ -318,15 +318,18 @@ def build_parser() -> _Parser:
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         return p
 
+    def add_params(p, required=False):
+        # --alpha, --beta and --c; when optional, the canonical triple S_SET[1]
+        for name, default in zip(aj.AJParams._fields, aj.S_SET[1]):
+            p.add_argument("--" + name, type=_rational, required=required, default=default)
+
     p = add("atkin", _cmd_atkin, "coefficients of an Atkin polynomial")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
     p.add_argument("--scale", choices=("original", "normalized"), default="original")
 
     p = add("assoc-jacobi", _cmd_assoc_jacobi, "coefficients of an associated polynomial")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--beta", type=_rational, required=True)
-    p.add_argument("--c", type=_rational, required=True)
+    add_params(p, required=True)
     p.add_argument("--variant", choices=("V", "calV"), default="V")
 
     p = add("rep-check", _cmd_rep_check, "compare a representation with the recurrence")
@@ -341,9 +344,7 @@ def build_parser() -> _Parser:
         choices=("binomial", "hypergeometric", "assoc-v", "assoc-calv"),
         default="binomial",
     )
-    p.add_argument("--alpha", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_rational, default=Fraction(-2, 3))
-    p.add_argument("--c", type=_rational, default=Fraction(7, 12))
+    add_params(p)
 
     p = add("asymptotic", _cmd_asymptotic, "asymptotic value against the recurrence")
     p.add_argument("--n", type=int, required=True)
@@ -359,9 +360,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="truncation order")
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--x", type=_finite, default=0.5)
-    p.add_argument("--alpha", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_rational, default=Fraction(-2, 3))
-    p.add_argument("--c", type=_rational, default=Fraction(7, 12))
+    add_params(p)
     p.add_argument("--tol", type=_finite, default=None)
 
     p = add("weight", _cmd_weight, "orthogonality weight at a point")

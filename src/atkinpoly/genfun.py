@@ -67,10 +67,14 @@ def fjk_check(a: float, b: float, d: float, x: float, t: float, N: int):
     de = delta_eps(t, x)
     if x - t * de.delta <= 0.0:
         raise DomainError("x - t*delta must stay positive")
+    try:
+        p1, p2, den = (x - t * de.delta) ** (a + d - b), de.delta**b, x ** (a + d)
+    except OverflowError:
+        raise DomainError("a power in the closed form overflows a double at x=%r" % x) from None
     rhs = (
-        (x - t * de.delta) ** (a + d - b)
-        * de.delta**b
-        / checked_denominator(x ** (a + d), "x=%r" % x)
+        p1
+        * p2
+        / checked_denominator(den, "x=%r" % x)
         * f21_real(-a, b, d, de.delta).value
         * f21_real(a + d, a + 1.0, a + b + 1.0, t * de.delta / x).value
     )
@@ -106,15 +110,20 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
     if x - t * de.delta <= 0.0:
         raise DomainError("x - t*delta must stay positive")
     ratio = t * de.delta / x
+    try:
+        du, dy = de.delta ** (af + bf + cf + 1.0), de.delta ** (af + cf + 1.0)
+        xu, xy, rest = x ** (bf + cf + 1.0), x ** (cf + 1.0), (x - t * de.delta) ** af
+    except OverflowError:
+        raise DomainError("a power in the closed form overflows a double at x=%r" % x) from None
     rhs_u = (
-        de.delta ** (af + bf + cf + 1.0)
-        / checked_denominator(x ** (bf + cf + 1.0) * (x - t * de.delta) ** af, "x=%r" % x)
+        du
+        / checked_denominator(xu * rest, "x=%r" % x)
         * f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, de.delta).value
         * f21_real(bf + cf + 1.0, cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
     )
     rhs_y = (
-        de.delta ** (af + cf + 1.0)
-        / checked_denominator(x ** (cf + 1.0) * (x - t * de.delta) ** af, "x=%r" % x)
+        dy
+        / checked_denominator(xy * rest, "x=%r" % x)
         * f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, de.delta).value
         * f21_real(cf + 1.0, bf + cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
     )

@@ -96,6 +96,21 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
+def _gamma_ratio(p: float, q: float, r: float, s: float) -> float:
+    """Gamma(p) Gamma(q) / (Gamma(r) Gamma(s)), multiplied left to right.
+    A factor or product past the range of a double (Gamma overflowing, the
+    reciprocal of a Gamma that underflowed, inf or nan) is refused."""
+    try:
+        v = math.gamma(p) * math.gamma(q) * _rgamma(r) * _rgamma(s)
+        if math.isfinite(v):
+            return v
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(
+        "Gamma(%r) Gamma(%r) / (Gamma(%r) Gamma(%r)) is past the range of a double" % (p, q, r, s)
+    )
+
+
 def _series_f21(a: float, b: float, c: float, x: float, tol: float):
     """Direct Gauss series; caller guarantees |x| < 1.  At a nonpositive
     integer c the series raises ZeroDivisionError if it reaches index -c.
@@ -190,9 +205,8 @@ def _connection_gammas(a: float, b: float, c: float):
     caller rounds the same way.
     """
     cab = c - a - b
-    gc = math.gamma(c)
-    g1 = gc * math.gamma(cab) * _rgamma(c - a) * _rgamma(c - b)
-    g2 = gc * math.gamma(-cab) * _rgamma(a) * _rgamma(b)
+    g1 = _gamma_ratio(c, cab, c - a, c - b)
+    g2 = _gamma_ratio(c, -cab, a, b)
     dcab = _U * (abs(c - a) + abs(cab))
     # a product that vanished has nothing to bound, and psi has a pole
     # where a reciprocal-gamma factor vanishes
@@ -236,7 +250,11 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     if cab == math.floor(cab):
         raise NonConvergent("c-a-b integer: the two-series connection degenerates")
     g1, g2, rel1, rel2, dcab = _connection_gammas(a, b, c)
-    g2 = g2 * s**cab
+    if g2 != 0.0:  # a product that vanished needs no power, which may overflow
+        try:
+            g2 = g2 * s**cab
+        except OverflowError:
+            raise DomainError("the power (1 - x)**(c - a - b) overflows at 1 - x=%r" % s) from None
     v = 0.0
     err = 0.0
     # each series also moves with the rounding of its denominator
@@ -263,7 +281,7 @@ def _gauss_at_one(a: float, b: float, c: float) -> RealValue:
     cab = c - a - b
     if cab <= 0:
         raise NonConvergent("2F1 at 1 requires c-a-b > 0")
-    v = math.gamma(c) * math.gamma(cab) * _rgamma(c - a) * _rgamma(c - b)
+    v = _gamma_ratio(c, cab, c - a, c - b)
     return RealValue(v, 8e-16 * abs(v))
 
 

@@ -58,13 +58,13 @@ def ss_poly(p: int) -> FpPoly:
     if p < 5 or not _is_prime(p):
         raise DomainError("p must be a prime >= 5, got %r" % p)
     h = _hasse_coeffs(p)
-    d = len(h) - 1
-    # (1728 - j)^d H(j / (1728 - j)) = sum_k h_k j^k (1728 - j)^(d-k)
-    coeffs = [
-        pow(1728, d - n, p) * sum(h[k] * comb(d - k, n - k) * (-1) ** (n - k) for k in range(n + 1))
-        for n in range(d + 1)
-    ]
-    out = list(FpPoly(p, coeffs).monic().coeffs)
+    # (1728 - j)^d H(j / (1728 - j)) = sum_k h_k j^k (1728 - j)^(d-k) is
+    # Q_d, by Horner: Q_0 = h_0, Q_k = Q_{k-1} (1728 - j) + h_k j^k
+    q = [h[0]]
+    for k in range(1, len(h)):
+        q = [(1728 * a - b) % p for a, b in zip(q + [0], [0] + q)]
+        q[k] = (q[k] + h[k]) % p
+    out = list(FpPoly(p, q).monic().coeffs)
     if p % 3 == 2:  # j = 0
         out = [0] + out
     if p % 4 == 3:  # j = 1728

@@ -317,6 +317,39 @@ def test_rounded_pole_of_a_connection_series_exits_two_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_values_past_a_double_exit_one_without_traceback():
+    # a gamma factor of the connection formula overflows (c, beta past 171)
+    # or its reciprocal divides by an underflowed 0.0 (alpha = -1e6), or a
+    # power in a closed form overflows at tiny x
+    for argv in (
+        ["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--c", "180"],
+        ["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--c", "200"],
+        ["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--beta", "200"],
+        ["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--alpha", "-1e6"],
+        ["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "-1e6"],
+        ["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--x", "1e-9", "--alpha", "-171.5"],
+        ["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--x", "1e-9", "--alpha", "-171.5"],
+    ):
+        proc = _run_fresh(argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("atkinpoly: error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_parameter_sweep_raises_nothing_out_of_main(capsys):
+    # large, negative and pole parameters, at both ends of x and both signs
+    # of t; _run also refuses NaN and Infinity in an envelope
+    for which in ("fjk", "uy"):
+        for flag in ("--alpha", "--beta", "--c"):
+            for value in ("0", "-1", "-2", "171.5", "-171.5", "250", "-1e6"):
+                for x in ("1e-9", "0.5", "0.999"):
+                    for t in ("0.3", "-0.9"):
+                        argv = ["genfun", "--which", which, "--n", "5", "--x", x, "--t", t, flag, value]
+                        code, _ = _run(capsys, argv)
+                        assert code in (0, 1, 2), argv
+
+
 def test_truncation_orders_outside_the_domain_exit_one_without_traceback():
     for argv, message in (
         (["genfun", "--which", "uy", "--n", "0", "--t", "0.3"], "N must be positive"),

@@ -201,6 +201,37 @@ def test_connection_series_reaching_a_rounded_pole_is_nonconvergent():
         f21_near_one(a, b, c, 0.5)
 
 
+def test_connection_formula_past_a_double_is_a_domain_error():
+    # Gamma(200.5) overflows, in the connection formula and in Gauss's sum at 1
+    with pytest.raises(DomainError, match=r"Gamma\(200.5\).* is past the range of a double$"):
+        f21_real(1.0, 2.0, 200.5, 0.9)
+    with pytest.raises(DomainError, match=r"Gamma\(200.5\).* is past the range of a double$"):
+        f21_real(0.5, 0.25, 200.5, 1.0)
+    # 1/Gamma(-1e6 + 1/4): the gamma value underflows to 0.0
+    with pytest.raises(DomainError, match="is past the range of a double$"):
+        f21_near_one(0.5, 1.5, -999999.75, 0.1)
+    # Gamma(-171.5) is subnormal and 1/Gamma(-171.83...) overflows to inf:
+    # the product 0 * inf was a nan value
+    with pytest.raises(DomainError, match="is past the range of a double$"):
+        f21_real(-1.5, 1.0 / 3.0, -171.5, 0.5)
+    # (1e-12)**(c - a - b) at c - a - b = -39.125
+    with pytest.raises(DomainError, match=r"^the power \(1 - x\)\*\*\(c - a - b\) overflows"):
+        f21_near_one(7.5, 19.75, -11.875, 1e-12)
+
+
+def test_connection_formula_skips_the_power_of_a_vanished_product():
+    # at a = -3 the second product has 1/Gamma(a) = 0, so its overflowing
+    # power is never formed; the value is the cubic 2F1(-3, b; c; x)
+    a, b, c, s = -3.0, 19.75, -11.875, 1e-12
+    x = 1.0 - s
+    term, cubic = 1.0, 1.0
+    for k in range(3):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        cubic += term
+    r = f21_near_one(a, b, c, s)
+    assert abs(r.value - cubic) <= r.abs_error_estimate + 1e-12 * abs(cubic)
+
+
 def test_profile_seq_matches_direct_series():
     a, b, d, x = 0.3, 1.1, 0.9, 0.3
     seq = f21_profile_seq(a, b, d, x, 6)

@@ -3,12 +3,13 @@ against point counts over F_{p^2} and against the Atkin family reduced
 mod p."""
 
 import functools
+from math import comb
 
 import pytest
 
 from atkinpoly.errors import DomainError
 from atkinpoly.fp import FpPoly, fp_gcd
-from atkinpoly.supersingular import _is_prime, atkin_mod_p, match_report, ss_poly
+from atkinpoly.supersingular import _hasse_coeffs, _is_prime, atkin_mod_p, match_report, ss_poly
 from atkinpoly.atkin import atkin
 from atkinpoly.ratpoly import reduce_mod_p
 
@@ -91,6 +92,29 @@ def _roots_in_fp2(f: FpPoly, d: int):
             if acc == (0, 0):
                 roots.append((a, b))
     return roots
+
+
+def _ss_poly_by_binomials(p):
+    """ss_poly with the substitution t = j/(1728 - j) expanded by the
+    binomial theorem: coefficient n of sum_k h_k j^k (1728 - j)^(d-k)."""
+    h = _hasse_coeffs(p)
+    d = len(h) - 1
+    coeffs = [
+        pow(1728, d - n, p) * sum(h[k] * comb(d - k, n - k) * (-1) ** (n - k) for k in range(n + 1))
+        for n in range(d + 1)
+    ]
+    out = list(FpPoly(p, coeffs).monic().coeffs)
+    if p % 3 == 2:  # j = 0
+        out = [0] + out
+    if p % 4 == 3:  # j = 1728
+        out = [a - 1728 * b for a, b in zip([0] + out, out + [0])]
+    return FpPoly(p, out)
+
+
+def test_horner_substitution_matches_the_binomial_expansion():
+    for p in range(5, 1000):
+        if _is_prime(p):
+            assert ss_poly(p) == _ss_poly_by_binomials(p), p
 
 
 def test_small_prime_tables():
