@@ -17,7 +17,6 @@ from .assoc_jacobi import (
     jacobi_poly,
     monic_jacobi,
     ourrep_explicit,
-    rep1_solved_coeff,
     wimp_V_explicit,
 )
 from .atkin import (

@@ -26,8 +26,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .atkin import atkin_normalized
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError
 from .exact import pochhammer
 from .hypergeom import pfq
 from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
@@ -73,12 +72,6 @@ S_SET = (
 _CANONICAL = S_SET[1]
 
 
-def _coerce_variant(variant) -> Variant:
-    if isinstance(variant, Variant):
-        return variant
-    return Variant(str(variant))
-
-
 def jacobi_poly(n: int, alpha, beta) -> RatPoly:
     """Classical Jacobi polynomial P_n^{(alpha,beta)} with exact coefficients:
     (n+alpha+beta+1)_n/n! times the monic variant at (x + 1)/2."""
@@ -95,30 +88,40 @@ def monic_jacobi(n: int, alpha, beta) -> RatPoly:
     return assoc_calV(n, AJParams(alpha, beta, 0))
 
 
+def _rates_of(params: AJParams, variant: Variant):
+    """rates(n) -> (lambda_n, mu_n) of one family, n >= 0.  The parameters go
+    over their common denominator d once; each rate is one Fraction of integers."""
+    d = math.lcm(*(p.denominator for p in params))
+    a, b, c = (p.numerator * (d // p.denominator) for p in params)  # d times alpha, beta, c
+    ab, bd, abd = a + b, b + d, a + b + d  # d times alpha + beta, beta + 1, alpha + beta + 1
+    drop_mu0 = variant is Variant.CALV
+
+    def rates(n: int):
+        nc = n * d + c
+        s = 2 * nc + ab  # d times s = 2n + 2c + alpha + beta
+        if nc:
+            lam_num, lam_den = (nc + bd) * (nc + abd), (s + 2 * d) * (s + d)
+        else:  # at n + c = 0 the factor n + c + alpha + beta + 1 is s + 1 and cancels
+            lam_num, lam_den = bd, s + 2 * d
+        if lam_den == 0:
+            raise DomainError("lambda denominator vanishes at index %d" % n)
+        lam = Fraction(lam_num, lam_den)
+        if n == 0 and drop_mu0:
+            return lam, Fraction(0)
+        mu_den = s * (s + d)
+        if mu_den == 0:
+            raise DomainError("mu denominator vanishes at index %d" % n)
+        return lam, Fraction(nc * (nc + a), mu_den)
+
+    return rates
+
+
 def aj_rates(params: AJParams, n: int, variant) -> tuple:
     """Birth and death rates (lambda_n, mu_n) of the associated family."""
-    variant = _coerce_variant(variant)
+    variant = Variant(variant)
     if n < 0:
         raise DomainError("index must be nonnegative")
-    a, b, c = params.alpha, params.beta, params.c
-    s = 2 * n + 2 * c + a + b
-    lam_num = n + c + b + 1
-    lam_den = s + 2
-    if n + c != 0:  # at n + c = 0 the factor n + c + a + b + 1 is s + 1 and cancels
-        lam_num *= n + c + a + b + 1
-        lam_den *= s + 1
-    if lam_den == 0:
-        raise DomainError("lambda denominator vanishes at index %d" % n)
-    lam = lam_num / lam_den
-    if n == 0:
-        if variant is Variant.CALV:
-            return lam, _F(0)
-        if s * (s + 1) == 0:
-            raise DomainError("mu denominator vanishes at index 0")
-        return lam, c * (c + a) / (s * (s + 1))
-    if s * (s + 1) == 0:
-        raise DomainError("mu denominator vanishes at index %d" % n)
-    return lam, (n + c) * (n + c + a) / (s * (s + 1))
+    return _rates_of(params, variant)(n)
 
 
 # Per-process cache of one recurrence engine per (alpha, beta, c, variant),
@@ -127,24 +130,22 @@ _FAMILY_CACHE: dict = {}
 
 
 def _assoc_family(params: AJParams, variant: Variant, n: int) -> RatPoly:
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
     key = (params.alpha, params.beta, params.c, variant)
     family = _FAMILY_CACHE.get(key)
     if family is None:
-        family = _FAMILY_CACHE[key] = MonicRecurrence(lambda m: aj_rates(params, m, variant))
+        family = _FAMILY_CACHE[key] = MonicRecurrence(_rates_of(params, variant))
     return family.poly(n)
 
 
 def assoc_V(n: int, params: AJParams) -> RatPoly:
     """Monic associated polynomial V_n, index-zero death rate included."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
     return _assoc_family(params, Variant.V, n)
 
 
 def assoc_calV(n: int, params: AJParams) -> RatPoly:
     """Monic associated polynomial with the index-zero death rate dropped."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
     return _assoc_family(params, Variant.CALV, n)
 
 
@@ -212,7 +213,7 @@ def atkin_via_representation(n: int, which, rep1_coeff=None) -> RatPoly:
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    which = which if isinstance(which, Representation) else Representation(str(which))
+    which = Representation(which)
     if which is Representation.REP1:
         kappa = REP1_DEFAULT_COEFF if rep1_coeff is None else _F(rep1_coeff)
         out = RatPoly((_F(-5, 12), 1)) * assoc_V(n, _CANONICAL)
@@ -228,26 +229,6 @@ def atkin_via_representation(n: int, which, rep1_coeff=None) -> RatPoly:
             + _F(91, 12) * assoc_calV(n, _REP2_PARAMS)
         )
     return RatPoly((0, 1)) * assoc_V(n, _CANONICAL) - _F(5, 12) * assoc_calV(n, _CANONICAL)
-
-
-def rep1_solved_coeff(n: int) -> Fraction:
-    """The scalar that makes the first representation exact at degree n+1.
-
-    Diagnostic: solves for the coefficient of V_{n-1}(x; c+1) by matching
-    against the recurrence-built Atkin polynomial, then checks that the
-    whole difference really is that single multiple.
-    """
-    if n < 1:
-        raise DomainError("the scalar only enters for n >= 1")
-    diff = RatPoly((_F(-5, 12), 1)) * assoc_V(n, _CANONICAL) - atkin_normalized(n + 1)
-    shifted = AJParams(_CANONICAL.alpha, _CANONICAL.beta, _CANONICAL.c + 1)
-    w = assoc_V(n - 1, shifted)
-    kappa = diff.coefficient(n - 1)  # w is monic of degree n-1
-    if diff != kappa * w:
-        raise InternalInconsistency(
-            "difference at n=%d is not a scalar multiple of the shifted polynomial" % n
-        )
-    return kappa
 
 
 def ourrep_explicit(n: int) -> RatPoly:

@@ -1,12 +1,12 @@
 """The Atkin family of monic orthogonal polynomials.
 
-The normalized family, on (0, 1), is defined by its birth and death
-rates: ``atkin_rates(n)`` for n >= 1 and the co-recursive start
-lambda_0 = 5/12, mu_0 = 0.  A_n, orthogonal on (0, 1728), has 1728 times
-those rates; ``ratpoly.MonicRecurrence`` holds it as integer numerators
-over a common denominator, and A_n(1728 y)/1728^n is read off them
-(coefficient j is a_j/1728^(n-j)).  The multiplied-out recurrences are
-the second route, in the tests.
+The normalized family, on (0, 1), steps from the rates of V at
+``S_SET[1]`` one index down (``atkin_rates(n)``, n >= 1) after the
+co-recursive start lambda_0 = 5/12, mu_0 = 0.  A_n, orthogonal on
+(0, 1728), has 1728 times those rates; ``ratpoly.MonicRecurrence``
+holds it as integer numerators over a common denominator, and
+A_n(1728 y)/1728^n is read off them (coefficient j is a_j/1728^(n-j)).
+The multiplied-out recurrences are the second route, in the tests.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .assoc_jacobi import S_SET, Variant, _rates_of
 from .errors import DomainError
 from .exact import gen_binom_seq
 from .hypergeom import _monic_steps, pfq
@@ -21,14 +22,14 @@ from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
 
+_V_RATES = _rates_of(S_SET[1], Variant.V)
+
 
 def atkin_rates(n: int):
-    """Birth and death rates of the normalized family, n >= 1."""
+    """Birth and death rates of the normalized family: V's at S_SET[1], index n - 1."""
     if n < 1:
         raise DomainError("rates are defined for n >= 1")
-    lam = _F((12 * n - 1) * (12 * n + 5), 288 * n * (2 * n + 1))
-    mu = _F((12 * n - 5) * (12 * n + 1), 288 * n * (2 * n - 1))
-    return lam, mu
+    return _V_RATES(n - 1)
 
 
 @functools.cache

@@ -38,9 +38,9 @@ from .hypergeom import atkin_asymptotic
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
 # Largest --n of the exact subcommands (atkin, assoc-jacobi, rep-check,
-# explicit-check).  The slowest of them at the cap, rep-check, takes about
-# 0.4 s as a fresh process on a 2-vCPU Xeon VM (every explicit-check form
-# about 0.3 s); without a cap, the coefficients of A_n pass Python's
+# explicit-check).  The slowest of them at the cap, rep-check, takes
+# 0.31-0.42 s as a fresh process on a 2-vCPU Xeon VM (every explicit-check
+# form 0.25-0.33 s); without a cap, the coefficients of A_n pass Python's
 # 4300-digit int-to-str limit by n of about 1600.
 MAX_EXACT_DEGREE = 200
 _EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE

@@ -18,8 +18,11 @@ from .atkin import (
     atkin_at_zero,
     atkin_normalized,
     atkin_normalized_value,
+    kz_explicit,
 )
+from .errors import DomainError, InternalInconsistency
 from .exact import catalan, pochhammer
+from .fp import FpPoly
 from .hypergeom import atkin_asymptotic, buv_combination
 from .ratpoly import RatPoly, poly_eval
 
@@ -98,8 +101,6 @@ def criterion_2() -> CriterionResult:
             _check(fails, False, "Rep2 at n=%d" % n)
         if aj.atkin_via_representation(n, "Rep3") != target:
             _check(fails, False, "Rep3 at n=%d" % n)
-    from .atkin import kz_explicit
-
     for n in range(21):
         if kz_explicit(n) != atkin_normalized(n):
             _check(fails, False, "double-binomial form at n=%d" % n)
@@ -115,6 +116,26 @@ def criterion_2() -> CriterionResult:
     return _result(2, fails, t0, "Rep2/Rep3 (n<=20), double-binomial (n<=20), hypergeometric (n<=15), V/calV explicit (all triples, n<=12) all exact")
 
 
+def rep1_solved_coeff(n: int) -> Fraction:
+    """The scalar that makes the first representation exact at degree n+1.
+
+    Diagnostic: solves for the coefficient of V_{n-1}(x; c+1) by matching
+    against the recurrence-built Atkin polynomial, then checks that the
+    whole difference really is that single multiple.
+    """
+    if n < 1:
+        raise DomainError("the scalar only enters for n >= 1")
+    canon = aj.S_SET[1]
+    diff = RatPoly((_F(-5, 12), 1)) * aj.assoc_V(n, canon) - atkin_normalized(n + 1)
+    w = aj.assoc_V(n - 1, canon._replace(c=canon.c + 1))
+    kappa = diff.coefficient(n - 1)  # w is monic of degree n-1
+    if diff != kappa * w:
+        raise InternalInconsistency(
+            "difference at n=%d is not a scalar multiple of the shifted polynomial" % n
+        )
+    return kappa
+
+
 def criterion_3() -> CriterionResult:
     """First-representation diagnostic: derived scalar works, printed fails."""
     t0 = time.perf_counter()
@@ -125,7 +146,7 @@ def criterion_3() -> CriterionResult:
     bad = aj.atkin_via_representation(1, "Rep1", rep1_coeff=_F(91, 384))
     detected = bad != atkin_normalized(2)
     _check(fails, detected, "printed scalar 91/384 was not detected as failing at n=1")
-    solved = aj.rep1_solved_coeff(1)
+    solved = rep1_solved_coeff(1)
     _check(
         fails,
         solved == _F(455, 3456),
@@ -279,8 +300,6 @@ def criterion_8() -> CriterionResult:
     """Supersingular reduction match for all primes up to 97."""
     t0 = time.perf_counter()
     fails: list = []
-    from .fp import FpPoly
-
     _check(fails, supersingular.ss_poly(5) == FpPoly(5, (0, 1)), "p=5 table")
     _check(fails, supersingular.ss_poly(7) == FpPoly(7, (1, 1)), "p=7 table")
     _check(fails, supersingular.ss_poly(11) == FpPoly(11, (0, 10, 1)), "p=11 table")

@@ -21,7 +21,6 @@ from atkinpoly.assoc_jacobi import (
     jacobi_poly,
     monic_jacobi,
     ourrep_explicit,
-    rep1_solved_coeff,
     wimp_V_explicit,
 )
 from atkinpoly.atkin import atkin_normalized
@@ -29,6 +28,7 @@ from atkinpoly.errors import DomainError
 from atkinpoly.exact import pochhammer
 from atkinpoly.hypergeom import pfq
 from atkinpoly.ratpoly import RatPoly, affine_substitute
+from atkinpoly.selftest import rep1_solved_coeff
 
 CANON = S_SET[1]
 
@@ -163,6 +163,75 @@ def test_rates_at_the_canonical_triple():
     assert aj_rates(CANON, 0, Variant.CALV) == (F(187, 864), F(0))
     c, a, b = CANON.c, CANON.alpha, CANON.beta
     assert mu == c * (c + a) / ((2 * c + a + b) * (2 * c + a + b + 1))
+
+
+def _aj_rates_reference(params, n, variant):
+    """Oracle: the rates by Fraction arithmetic on the parameters, straight
+    from the closed form."""
+    variant = variant if isinstance(variant, Variant) else Variant(str(variant))
+    if n < 0:
+        raise DomainError("index must be nonnegative")
+    a, b, c = params.alpha, params.beta, params.c
+    s = 2 * n + 2 * c + a + b
+    lam_num = n + c + b + 1
+    lam_den = s + 2
+    if n + c != 0:  # at n + c = 0 the factor n + c + a + b + 1 is s + 1 and cancels
+        lam_num *= n + c + a + b + 1
+        lam_den *= s + 1
+    if lam_den == 0:
+        raise DomainError("lambda denominator vanishes at index %d" % n)
+    lam = lam_num / lam_den
+    if n == 0:
+        if variant is Variant.CALV:
+            return lam, F(0)
+        if s * (s + 1) == 0:
+            raise DomainError("mu denominator vanishes at index 0")
+        return lam, c * (c + a) / (s * (s + 1))
+    if s * (s + 1) == 0:
+        raise DomainError("mu denominator vanishes at index %d" % n)
+    return lam, (n + c) * (n + c + a) / (s * (s + 1))
+
+
+def _rates_outcome(params, n, variant):
+    try:
+        rates = aj_rates(params, n, variant)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    assert type(rates) is tuple and [type(r) for r in rates] == [F, F]
+    return rates
+
+
+def _reference_outcome(params, n, variant):
+    try:
+        return _aj_rates_reference(params, n, variant)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+_VARIANTS = (Variant.V, Variant.CALV, "V", "calV")
+
+
+def test_rates_match_the_fraction_reference_on_a_grid_with_poles():
+    grid = (F(-2), F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(2, 3))
+    poles = cancellations = 0
+    for alpha in grid:
+        for beta in grid:
+            for c in grid:
+                params = AJParams(alpha, beta, c)
+                for variant in _VARIANTS:
+                    for n in range(-1, 13):
+                        want = _reference_outcome(params, n, variant)
+                        assert _rates_outcome(params, n, variant) == want, (params, n, variant)
+                        poles += want[0] == "DomainError" and n >= 0
+                        cancellations += n + c == 0
+    assert poles > 500 and cancellations > 500
+
+
+def test_rates_match_the_fraction_reference_on_the_quadruple():
+    for params in S_SET:
+        for variant in _VARIANTS:
+            for n in range(301):
+                assert _rates_outcome(params, n, variant) == _reference_outcome(params, n, variant)
 
 
 def test_rates_degenerate_denominator():

@@ -60,6 +60,20 @@ def test_rates_values():
         atkin_rates(0)
 
 
+def _atkin_rates_reference(n):
+    """Oracle: the rates of the normalized family in closed form, n >= 1."""
+    lam = F((12 * n - 1) * (12 * n + 5), 288 * n * (2 * n + 1))
+    mu = F((12 * n - 5) * (12 * n + 1), 288 * n * (2 * n - 1))
+    return lam, mu
+
+
+def test_rates_match_the_closed_form():
+    for n in range(1, 301):
+        rates = atkin_rates(n)
+        assert rates == _atkin_rates_reference(n)
+        assert type(rates) is tuple and [type(r) for r in rates] == [F, F]
+
+
 def test_rates_positive_and_bounded():
     # both rates stay in (0, 1/2) and their sum below 1
     for n in range(1, 40):

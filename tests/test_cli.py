@@ -174,6 +174,14 @@ def test_domain_errors_exit_one(capsys):
     assert "error" in err
 
 
+def test_rep1_coeff_with_another_representation_exits_one(capsys):
+    code = main(["rep-check", "--n", "2", "--which", "rep2", "--rep1-coeff", "1/2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "atkinpoly: error: --rep1-coeff only applies to rep1\n"
+
+
 def test_weight_at_a_subnormal_point(capsys):
     # j/1728 is subnormal here; both weight routes still agree
     code, out = _run(capsys, ["weight", "--x", "1e-315"])
@@ -400,6 +408,17 @@ GOLDEN_STDOUT = (
      "7936c429bb0dd6fb41ae37ff3e8f3e11f57760f564b2a707cc84ee507a7f1d7c"),
     (["assoc-jacobi", "--n", "200", "--alpha", "-1/2", "--beta", "2/3", "--c", "5/12", "--variant", "V"],
      "b41c8636cba2bfdba913a39c0e78bd388cbbecfaef5d893d5b6b034d864acc0b"),
+    (["rep-check", "--n", "200", "--which", "rep1"],
+     "88ad0df3881e4d91844797cc13e8669f1cddfa40a63ceda60ac64937ac66c03d"),
+    (["rep-check", "--n", "200", "--which", "rep2"],
+     "269bc02139c00a4b55546484dbe369536f3ee984edf53651f33093fbfdbccc19"),
+    (["rep-check", "--n", "200", "--which", "rep3"],
+     "632fc941f40c26f1a868e0475ba23a3b998ba8796827a68037287cf47b1965d9"),
+    (["explicit-check", "--n", "200", "--form", "assoc-v"],
+     "157c813c9ab8831ca5bf9e3445dee7e9e88941df8873584689d3745b46e27ad8"),
+    # a Chebyshev family, (alpha, beta) = (1/2, -1/2), where n + c = 0 cancels at index 0
+    (["assoc-jacobi", "--n", "200", "--alpha", "1/2", "--beta", "-1/2", "--c", "0", "--variant", "calV"],
+     "76232ea8073c083c42bb09fb2451aa2fd7d83ba08598a28e8fe4a0f44dd75343"),
     (["selftest"],
      "801e5fadac2150a56d6228fb19ec923316d6f7d8c9c3fc4048b19db53a19e4e4"),
     (["weight", "--x", "720"],

@@ -5,8 +5,21 @@ import ast
 import inspect
 import pathlib
 
+import pytest
+
 import atkinpoly
 from atkinpoly import errors
+from atkinpoly.assoc_jacobi import (
+    S_SET,
+    Variant,
+    aj_rates,
+    assoc_calV,
+    assoc_V,
+    atkin_via_representation,
+    ourrep_explicit,
+    wimp_V_explicit,
+)
+from atkinpoly.atkin import atkin_at_one, atkin_normalized_value_seq, kz_explicit
 
 _KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
 
@@ -70,3 +83,24 @@ def test_package_raises_only_the_failure_kinds():
     # the scan found the raises it should, so it parsed what it meant to
     assert {"DomainError", "NonConvergent", "InternalInconsistency"} <= seen
     assert _ALLOWED_ELSEWHERE <= seen
+
+
+_BELOW_THE_DOMAIN = (
+    (assoc_V, (-1, S_SET[1]), "degree must be nonnegative"),
+    (assoc_calV, (-1, S_SET[1]), "degree must be nonnegative"),
+    (wimp_V_explicit, (-1, S_SET[1]), "degree must be nonnegative"),
+    (atkin_via_representation, (-1, "Rep1"), "degree must be nonnegative"),
+    (ourrep_explicit, (-1,), "degree must be nonnegative"),
+    (aj_rates, (S_SET[1], -1, Variant.V), "index must be nonnegative"),
+    (kz_explicit, (-1,), "degree must be nonnegative"),
+    (atkin_at_one, (0,), "closed form holds for n >= 1"),
+    (atkin_normalized_value_seq, (-1, 0.5), "nmax must be nonnegative"),
+)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message", _BELOW_THE_DOMAIN, ids=[fn.__name__ for fn, _, _ in _BELOW_THE_DOMAIN]
+)
+def test_degrees_below_the_domain_are_domain_errors(fn, args, message):
+    with pytest.raises(errors.DomainError, match="^%s$" % message):
+        fn(*args)

@@ -184,6 +184,15 @@ def test_f21_domain_limits():
     # a pole of the function itself, not a limit of the method
     with pytest.raises(DomainError, match="^denominator parameter -2.0 is a nonpositive integer$"):
         f21_real(0.3, 0.7, -2.0, 0.3)
+    # at x = 1 the series converges only for c - a - b > 0
+    for c in (1.0, 0.9):
+        with pytest.raises(NonConvergent, match="^2F1 at 1 requires c-a-b > 0$"):
+            f21_real(0.3, 0.7, c, 1.0)
+
+
+def test_f21_near_one_far_from_one_is_the_direct_series():
+    for s in (0.5000000000000001, 0.6, 0.75, 0.9, 1.5):
+        assert f21_near_one(0.3, 0.4, 1.2, s) == f21_real(0.3, 0.4, 1.2, 1.0 - s)
 
 
 def test_f21_near_one_exact_distance():
