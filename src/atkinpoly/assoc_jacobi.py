@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exact import pochhammer
-from .hypergeom import pfq
+from .hypergeom import _pfq_int
 from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
 
 _F = Fraction
@@ -149,36 +149,46 @@ def assoc_calV(n: int, params: AJParams) -> RatPoly:
     return _assoc_family(params, Variant.CALV, n)
 
 
-def _explicit_pref(n: int, params: AJParams) -> Fraction:
-    a, b, c = params.alpha, params.beta, params.c
-    den = pochhammer(a + b + 2 * c + n + 1, n) * math.factorial(n)
-    if den == 0:
+def _prefactor(n: int, a: int, b: int, c: int, d: int):
+    """(pn, pd) in lowest terms with pn/pd = (-1)^n (c + 1)_n (b + c + 1)_n /
+    ((a + b + 2c + n + 1)_n n!), for alpha, beta, c given as a/d, b/d, c/d."""
+    pn = pd = 1
+    for i in range(1, n + 1):
+        pn *= -(c + i * d) * (b + c + i * d)
+        pd *= (a + b + 2 * c + (n + i) * d) * i * d
+    if pd == 0:
         raise DomainError("prefactor denominator vanishes at degree %d" % n)
-    return _F(-1) ** n * pochhammer(c + 1, n) * pochhammer(b + c + 1, n) / den
+    g = math.gcd(pn, pd)
+    return pn // g, pd // g
 
 
 def _explicit_form(n: int, params: AJParams, drop: int) -> RatPoly:
     """wimp_V_explicit (drop = 0) and im_calV_explicit (drop = 1)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    a, b, c = params.alpha, params.beta, params.c
-    pref = _explicit_pref(n, params)
-    # (-n)_k (n + 2c + a + b + 1)_k / ((c + 1)_k (c + b + 1)_k), from the
-    # value at k - 1 by its term ratio
-    ck = _F(1)
+    d = math.lcm(*(p.denominator for p in params))
+    a, b, c = (p.numerator * (d // p.denominator) for p in params)  # d times alpha, beta, c
+    s = a + b + 2 * c  # d times alpha + beta + 2c
+    pn, pd = _prefactor(n, a, b, c, d)
+    # ckn/ckd = (-n)_k (n + 2c + a + b + 1)_k / ((c + 1)_k (c + b + 1)_k) in
+    # lowest terms, from the value at k - 1 by its term ratio
+    ckn = ckd = 1
     coeffs = []
     for k in range(n + 1):
-        f43 = pfq(
-            (_F(k - n), n + k + a + b + 2 * c + 1, c + b + drop, c),
-            (k + b + c + 1, k + c + 1, a + b + 2 * c + drop),
-            1,
+        fn, fd = _pfq_int(
+            ((k - n) * d, s + (n + k + 1) * d, c + b + drop * d, c),
+            (b + c + (k + 1) * d, c + (k + 1) * d, s + drop * d),
+            d, 1, 1,
         )
         if k:
-            den = (c + k) * (c + b + k)
+            den = (c + k * d) * (c + b + k * d)
             if den == 0:
                 raise DomainError("coefficient denominator vanishes at power %d" % k)
-            ck *= (k - 1 - n) * (n + k + a + b + 2 * c) / den
-        coeffs.append(pref * ck * f43)
+            ckn *= (k - 1 - n) * (s + (n + k) * d) * d
+            ckd *= den
+            g = math.gcd(ckn, ckd)
+            ckn, ckd = ckn // g, ckd // g
+        coeffs.append(Fraction(pn * ckn * fn, pd * ckd * fd))
     return RatPoly(coeffs)
 
 
@@ -238,26 +248,25 @@ def ourrep_explicit(n: int) -> RatPoly:
     The constant term is a terminating 3F2 carrying an overall factor
     -5/12; the power-(k+1) coefficients combine two terminating 4F3
     values with weights 6/5 and -1/5.  Dropping the -5/12 already breaks
-    the n = 0 case, whose value must be x - 5/12.
+    the n = 0 case, whose value must be x - 5/12.  Every parameter is
+    taken over 12, so each coefficient is one Fraction of integers.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    # (19/12)_n (11/12)_n / ((n + 2)_n (-n)_n), 1 at n = 0
-    pref = _explicit_pref(n, _CANONICAL)
-    const = _F(-5, 12) * pfq((_F(-n), _F(n + 2), _F(7, 12)), (_F(19, 12), _F(2)), 1)
-    coeffs = [pref * const]
-    ck = _F(1)  # (-n)_k (n + 2)_k / ((19/12)_k (11/12)_k)
+    # (-1)^n (19/12)_n (11/12)_n / ((n + 2)_n n!): S_SET[1] over 12
+    pn, pd = _prefactor(n, 6, -8, 7, 12)
+    fn, fd = _pfq_int((-12 * n, 12 * n + 24, 7), (19, 24), 12, 1, 1)
+    coeffs = [Fraction(-5 * pn * fn, 12 * pd * fd)]
+    ckn = ckd = 1  # (-n)_k (n + 2)_k / ((19/12)_k (11/12)_k) in lowest terms
     for k in range(n + 1):
-        f1 = pfq(
-            (_F(k - n), _F(n + k + 2), _F(11, 12), _F(-5, 12)),
-            (k + _F(11, 12), k + _F(19, 12), _F(1)),
-            1,
-        )
-        f2 = pfq(
-            (_F(k - n), _F(n + k + 2), _F(-1, 12), _F(-5, 12)),
-            (k + _F(11, 12), k + _F(19, 12), _F(1)),
-            1,
-        )
-        coeffs.append(pref * ck * (_F(6, 5) * f1 - _F(1, 5) * f2))
-        ck *= _F((k - n) * (n + 2 + k) * 144, (19 + 12 * k) * (11 + 12 * k))
+        dens = (12 * k + 11, 12 * k + 19, 12)
+        # the two sums share their denominator parameters and length, so
+        # the integer core returns the same den for both
+        f1n, fd = _pfq_int((12 * (k - n), 12 * (n + k + 2), 11, -5), dens, 12, 1, 1)
+        f2n, _ = _pfq_int((12 * (k - n), 12 * (n + k + 2), -1, -5), dens, 12, 1, 1)
+        coeffs.append(Fraction(pn * ckn * (6 * f1n - f2n), 5 * pd * ckd * fd))  # 6/5 f1 - 1/5 f2
+        ckn *= (k - n) * (n + 2 + k) * 144
+        ckd *= (19 + 12 * k) * (11 + 12 * k)
+        g = math.gcd(ckn, ckd)
+        ckn, ckd = ckn // g, ckd // g
     return RatPoly(coeffs)

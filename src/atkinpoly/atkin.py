@@ -12,12 +12,12 @@ The multiplied-out recurrences are the second route, in the tests.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .assoc_jacobi import S_SET, Variant, _rates_of
 from .errors import DomainError
-from .exact import gen_binom_seq
-from .hypergeom import _monic_steps, pfq
+from .hypergeom import _monic_steps, _pfq_int
 from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
@@ -78,12 +78,16 @@ def kz_explicit(n: int) -> RatPoly:
     if n < 0:
         raise DomainError("degree must be nonnegative")
     coeffs = [None] * (n + 1)
-    binoms = zip(gen_binom_seq(_F(-1, 12), n + 1), gen_binom_seq(_F(-5, 12), n + 1))
-    for i, (b1, b2) in enumerate(binoms):
-        # 1 - 2n never vanishes first: the series ends at i <= n <= 2n - 1
-        coeffs[n - i] = b1 * b2 * pfq(
-            (-i, -i, -n - _F(1, 12), _F(7, 12) - n), (_F(11, 12) - i, _F(7, 12) - i, 1 - 2 * n), 1
-        )
+    bn = bd = 1  # the two binomials at i as one ratio of integers, in lowest terms
+    for i in range(n + 1):
+        # over d = 12; 1 - 2n never vanishes first: the series ends at i <= n <= 2n - 1
+        nums = (-12 * i, -12 * i, -12 * n - 1, 7 - 12 * n)
+        fn, fd = _pfq_int(nums, (11 - 12 * i, 7 - 12 * i, 12 - 24 * n), 12, 1, 1)
+        coeffs[n - i] = Fraction(bn * fn, bd * fd)
+        bn *= (1 + 12 * i) * (5 + 12 * i)
+        bd *= 144 * (i + 1) ** 2
+        g = math.gcd(bn, bd)
+        bn, bd = bn // g, bd // g
     return RatPoly(coeffs)
 
 
@@ -91,14 +95,21 @@ def atkin_at_zero(n: int) -> Fraction:
     """Exact value of the normalized degree-n polynomial at 0, n >= 1."""
     if n < 1:
         raise DomainError("closed form holds for n >= 1")
-    return atkin_at_zero_seq(n)[-1]
+    return _endpoint(_F(-5, 12), 11, 17, -1, n)
 
 
 def atkin_at_one(n: int) -> Fraction:
     """Exact value of the normalized degree-n polynomial at 1, n >= 1."""
     if n < 1:
         raise DomainError("closed form holds for n >= 1")
-    return atkin_at_one_seq(n)[-1]
+    return _endpoint(_F(7, 12), 11, 19, 1, n)
+
+
+def _endpoint(first: Fraction, p: int, q: int, sign: int, n: int) -> Fraction:
+    # the last entry of _endpoint_seq(first, p, q, sign, n), as one product:
+    # the ratios' denominators multiply to 144^(n-1) (2n-1)!
+    num = first.numerator * math.prod([sign * (p + 12 * m) * (q + 12 * m) for m in range(n - 1)])
+    return Fraction(num, first.denominator * 144 ** (n - 1) * math.factorial(2 * n - 1))
 
 
 def _endpoint_seq(first: Fraction, p: int, q: int, sign: int, nmax: int):

@@ -39,8 +39,8 @@ _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
 # Largest --n of the exact subcommands (atkin, assoc-jacobi, rep-check,
 # explicit-check).  The slowest of them at the cap, rep-check, takes
-# 0.31-0.42 s as a fresh process on a 2-vCPU Xeon VM (every explicit-check
-# form 0.25-0.33 s); without a cap, the coefficients of A_n pass Python's
+# 0.29-0.48 s as a fresh process on a 2-vCPU Xeon VM (every explicit-check
+# form 0.18-0.34 s); without a cap, the coefficients of A_n pass Python's
 # 4300-digit int-to-str limit by n of about 1600.
 MAX_EXACT_DEGREE = 200
 _EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
@@ -75,6 +75,14 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
+def _tolerance(text: str) -> float:
+    # a negative tolerance can never be met, so it is a usage error, not a failed check
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative tolerance, got %r" % text)
     return value
 
 
@@ -349,7 +357,7 @@ def build_parser() -> _Parser:
     p = add("asymptotic", _cmd_asymptotic, "asymptotic value against the recurrence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=_finite, required=True)
-    p.add_argument("--tol", type=_finite, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
     p = add("genfun", _cmd_genfun, "generating-function identity residual")
     p.add_argument(
@@ -361,7 +369,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--x", type=_finite, default=0.5)
     add_params(p)
-    p.add_argument("--tol", type=_finite, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
     p = add("weight", _cmd_weight, "orthogonality weight at a point")
     p.add_argument("--x", type=_finite, required=True, help="point in (0, 1728)")

@@ -3,8 +3,8 @@
 Rationals are :class:`fractions.Fraction`, which already provides
 canonical form (positive denominator, reduced by gcd) after every
 operation and raises on division by zero.  On top of it live the
-combinatorial helpers used throughout: rising factorials, binomial
-coefficients with arbitrary rational upper argument, and Catalan numbers.
+combinatorial helpers used throughout: rising factorials and Catalan
+numbers.
 """
 
 from __future__ import annotations
@@ -23,17 +23,6 @@ def pochhammer(a, n: int) -> Fraction:
     out = Fraction(1)
     for i in range(n):
         out *= a + i
-    return out
-
-
-def gen_binom_seq(a, count: int) -> list:
-    """The binomial coefficients a over k, with rational upper argument a,
-    for k in range(count); each term comes from the one before by the
-    ratio (a - k)/(k + 1)."""
-    a = Fraction(a)
-    out = [Fraction(1)] if count > 0 else []
-    for k in range(count - 1):
-        out.append(out[-1] * (a - k) / (k + 1))
     return out
 
 

@@ -1,11 +1,12 @@
 """Hypergeometric machinery, exact and numeric.
 
 The exact half is ``pfq``: a terminating pFq at a rational argument,
-summed backward over one common denominator in integers.  It feeds every
-explicit coefficient formula in the package.  The numeric half provides
-the Gauss function on the real interval, the two solutions U_n and Y_n
-of the associated recurrence, the C/D combination, and the two large-n
-asymptotic right-hand sides.
+summed backward over one common denominator in integers by ``_pfq_int``.
+That integer core feeds every explicit coefficient formula in the
+package, which keeps its parameters over one denominator too.  The
+numeric half provides the Gauss function on the real interval, the two
+solutions U_n and Y_n of the associated recurrence, the C/D combination,
+and the two large-n asymptotic right-hand sides.
 
 A note on large n: series like 2F1(b - n, n + a; d; x) are numerically
 hopeless when summed directly for n beyond roughly 25, because the terms
@@ -48,33 +49,36 @@ def checked_denominator(value: float, where: str) -> float:
 def pfq(numerator_params, denominator_params, argument) -> Fraction:
     """Exact sum of a terminating pFq at a rational argument.
 
-    The sum is nested as 1 + r_0 (1 + r_1 (1 + ...)), r_k the ratio of
-    term k+1 to term k, and evaluated from the last term down.  With every
-    parameter over one common denominator each r_k is a ratio of
-    integers, so the loop keeps one integer numerator and one integer
-    denominator and a single Fraction is made, and reduced, at the end.
+    The parameters go over their common denominator D, and ``_pfq_int``
+    sums the series in integers; a single Fraction is made at the end.
     """
     nums = [Fraction(v) for v in numerator_params]
     dens = [Fraction(v) for v in denominator_params]
     z = Fraction(argument)
-    stops = [-a for a in nums if a.denominator == 1 and a <= 0]
+    scale = math.lcm(*(v.denominator for v in nums + dens))
+    big = [v.numerator * (scale // v.denominator) for v in nums + dens]
+    num, den = _pfq_int(big[: len(nums)], big[len(nums) :], scale, z.numerator, z.denominator)
+    return Fraction(num, den)
+
+
+def _pfq_int(big_a, big_b, scale: int, znum: int, zden: int):
+    """(num, den), unreduced, of the terminating pFq with parameters A/D
+    for A in ``big_a`` over B/D for B in ``big_b``, D = ``scale`` > 0, at
+    znum/zden.  The sum is nested as 1 + r_0 (1 + r_1 (1 + ...)), with the
+    ratio of term k+1 to term k r_k = z D^(q-p) prod(A + kD) / ((k + 1)
+    prod(B + kD)), and evaluated from the last term down; den depends only
+    on B, D, zden and the number of terms."""
+    stops = [-a for a in big_a if a % scale == 0 and a <= 0]
     if not stops:
         raise DomainError("series does not terminate: no nonpositive-integer numerator parameter")
-    terms = int(min(stops))  # summation index runs 0..terms
-    for b in dens:
-        if b.denominator == 1 and b <= 0 and -b < terms:
-            raise DomainError(
-                "denominator parameter %s vanishes before the series terminates" % b
-            )
-    # with D the common denominator of the parameters, A = aD and B = bD,
-    # the ratio of term k+1 to term k is
-    #   r_k = z D^(q-p) prod(A + kD) / ((k + 1) prod(B + kD))
-    scale = math.lcm(*(v.denominator for v in nums), *(v.denominator for v in dens))
-    big_a = [v.numerator * (scale // v.denominator) for v in nums]
-    big_b = [v.numerator * (scale // v.denominator) for v in dens]
-    excess = len(dens) - len(nums)
-    znum = z.numerator * scale ** max(excess, 0)
-    zden = z.denominator * scale ** max(-excess, 0)
+    terms = min(stops) // scale  # summation index runs 0..terms
+    for b in big_b:
+        if b % scale == 0 and b <= 0 and -b < terms * scale:
+            pole = Fraction(b, scale)
+            raise DomainError("denominator parameter %s vanishes before the series terminates" % pole)
+    excess = len(big_b) - len(big_a)
+    znum *= scale ** max(excess, 0)
+    zden *= scale ** max(-excess, 0)
     num = den = 1
     for k in range(terms - 1, -1, -1):
         kd = k * scale
@@ -86,7 +90,7 @@ def pfq(numerator_params, denominator_params, argument) -> Fraction:
             down *= b + kd
         den *= down
         num = num * up + den
-    return Fraction(num, den)
+    return num, den
 
 
 def _rgamma(x: float) -> float:

@@ -105,12 +105,20 @@ def _coerce(v) -> RatPoly:
 
 
 def poly_eval(p: RatPoly, x) -> Fraction:
-    """Exact Horner evaluation."""
+    """Exact Horner evaluation, in integers: with L the least common
+    denominator of the coefficients c_j and x = xn/xd, the homogeneous
+    Horner sum of L c_j xn^j xd^(N-j) over L xd^N is one Fraction."""
     x = Fraction(x)
-    out = Fraction(0)
-    for c in reversed(p.coeffs):
-        out = out * x + c
-    return out
+    cs = p.coeffs
+    if not cs:
+        return Fraction(0)
+    xn, xd = x.numerator, x.denominator
+    big_l = lcm(*(c.denominator for c in cs))
+    acc, xd_power = 0, 1
+    for c in reversed(cs):
+        acc = acc * xn + c.numerator * (big_l // c.denominator) * xd_power
+        xd_power *= xd
+    return Fraction(acc, big_l * (xd_power // xd))
 
 
 def affine_substitute(p: RatPoly, a, b) -> RatPoly:

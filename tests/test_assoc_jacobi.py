@@ -3,6 +3,7 @@ double sums, the three representations, and the contiguous identities
 behind the explicit Atkin form."""
 
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -254,6 +255,59 @@ def test_explicit_forms_match_recurrences():
         for n in range(13):
             assert wimp_V_explicit(n, params) == assoc_V(n, params)
             assert im_calV_explicit(n, params) == assoc_calV(n, params)
+
+
+def _explicit_pref_reference(n, params):
+    a, b, c = params
+    den = pochhammer(a + b + 2 * c + n + 1, n) * math.factorial(n)
+    if den == 0:
+        raise DomainError("prefactor denominator vanishes at degree %d" % n)
+    return F(-1) ** n * pochhammer(c + 1, n) * pochhammer(b + c + 1, n) / den
+
+
+def _explicit_form_reference(n, params, drop):
+    """Oracle: Wimp's explicit form in Fraction arithmetic, one pfq per
+    power of x, with the checks of the integer form in the same order."""
+    a, b, c = params
+    pref = _explicit_pref_reference(n, params)
+    ck = F(1)
+    coeffs = []
+    for k in range(n + 1):
+        f43 = pfq(
+            (F(k - n), n + k + a + b + 2 * c + 1, c + b + drop, c),
+            (k + b + c + 1, k + c + 1, a + b + 2 * c + drop),
+            1,
+        )
+        if k:
+            den = (c + k) * (c + b + k)
+            if den == 0:
+                raise DomainError("coefficient denominator vanishes at power %d" % k)
+            ck *= (k - 1 - n) * (n + k + a + b + 2 * c) / den
+        coeffs.append(pref * ck * f43)
+    return RatPoly(coeffs)
+
+
+def _explicit_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+def test_explicit_forms_match_the_fraction_reference():
+    rng = random.Random(1987)
+    pool = [F(3, 7), F(-5, 9), F(2, 11), F(-1, 2), F(7, 12), F(-13, 6), F(0), F(-1), F(-3), F(2)]
+    messages = set()
+    for _ in range(120):
+        params = AJParams(*(rng.choice(pool) for _ in range(3)))
+        n = rng.randint(0, 9)
+        for form, drop in ((wimp_V_explicit, 0), (im_calV_explicit, 1)):
+            want = _explicit_outcome(_explicit_form_reference, n, params, drop)
+            assert _explicit_outcome(form, n, params) == want, (n, params, drop)
+            if isinstance(want, tuple):
+                messages.add(want[1].split()[0])
+    # each failure the forms can raise was drawn
+    assert messages == {"prefactor", "coefficient", "denominator"}
 
 
 def test_explicit_forms_name_the_degenerate_power():

@@ -19,7 +19,7 @@ from atkinpoly.atkin import (
     kz_explicit,
 )
 from atkinpoly.errors import DomainError
-from atkinpoly.exact import gen_binom_seq, pochhammer
+from atkinpoly.exact import pochhammer
 from atkinpoly.ratpoly import RatPoly, affine_substitute, poly_eval
 
 
@@ -96,11 +96,19 @@ def test_rates_generate_the_recurrence():
         assert rhs == atkin_normalized(n + 1)
 
 
+def _binom_seq(a, count):
+    """a over k for k in range(count), by the term ratio (a - k)/(k + 1)."""
+    out = [F(1)]
+    for k in range(count - 1):
+        out.append(out[-1] * (a - k) / (k + 1))
+    return out
+
+
 def _kz_double_sum(n):
     """The published Kaneko-Zagier form: the coefficient of x^(n-i) is
     sum_m C(-1/12, i-m) C(-5/12, i-m) (-1)^m C(n+1/12, m) C(n-7/12, m) / C(2n-1, m)."""
     b1, b2, b3, b4, b5 = (
-        gen_binom_seq(a, n + 1) for a in (F(-1, 12), F(-5, 12), n + F(1, 12), n - F(7, 12), 2 * n - 1)
+        _binom_seq(F(a), n + 1) for a in (F(-1, 12), F(-5, 12), n + F(1, 12), n - F(7, 12), 2 * n - 1)
     )
     left = [x * y for x, y in zip(b1, b2)]  # the factors indexed by i - m
     right = [(-1) ** m * b3[m] * b4[m] / b5[m] for m in range(n + 1)]
@@ -118,6 +126,13 @@ def test_kz_explicit_is_the_double_sum():
 def test_double_binomial_form():
     for n in list(range(21)) + [120, 200]:
         assert kz_explicit(n) == atkin_normalized(n)
+
+
+def test_endpoint_values_are_the_last_terms_of_their_sequences():
+    zeros, ones = atkin_at_zero_seq(300), atkin_at_one_seq(300)
+    for n in range(1, 301):
+        assert atkin_at_zero(n) == zeros[n - 1]
+        assert atkin_at_one(n) == ones[n - 1]
 
 
 def test_endpoint_values_match_polynomials():

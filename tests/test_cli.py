@@ -158,6 +158,23 @@ def test_non_finite_floats_are_usage_errors(capsys, flag, argv):
         assert "error: argument %s: expected a finite number, got %r" % (flag, value) in captured.err
 
 
+@pytest.mark.parametrize("argv", (
+    ["asymptotic", "--n", "5", "--theta", "0.7"],
+    ["genfun", "--which", "at-zero", "--n", "5", "--t", "0.3"],
+))
+def test_negative_tolerance_is_a_usage_error(capsys, argv):
+    for value in ("-1", "-1e-300"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", value])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --tol: expected a nonnegative tolerance, got %r" % value in captured.err
+    # a zero tolerance is still a tolerance: the check runs and reports
+    code, out = _run(capsys, argv + ["--tol", "0"])
+    assert code in (0, 2) and json.loads(out)["inputs"]["tol"] == 0
+
+
 @pytest.mark.parametrize("spelled, plain", [("-1e-3", "-0.001"), ("-.5", "-0.5"), ("-5E-1", "-0.5")])
 def test_negative_floats_in_any_spelling(capsys, spelled, plain):
     argv = ["genfun", "--which", "at-zero", "--n", "5", "--t"]

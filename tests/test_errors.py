@@ -30,6 +30,7 @@ _ALLOWED_ELSEWHERE = {
     ("cli.py", "error", "SystemExit"),
     ("cli.py", "_rational", "ArgumentTypeError"),
     ("cli.py", "_finite", "ArgumentTypeError"),
+    ("cli.py", "_tolerance", "ArgumentTypeError"),
     ("fp.py", "fp_divmod", "ZeroDivisionError"),
 }
 

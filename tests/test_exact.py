@@ -5,17 +5,27 @@ import pytest
 
 from atkinpoly.cli import main
 from atkinpoly.errors import DomainError
-from atkinpoly.exact import catalan, gen_binom_seq, pochhammer, rat_str
+from atkinpoly.exact import catalan, pochhammer, rat_str
 
 
 def gen_binom(a, k):
     """Binomial coefficient a over k with rational upper argument, as
-    a(a-1)...(a-k+1)/k!: the oracle for gen_binom_seq."""
+    a(a-1)...(a-k+1)/k!: the oracle for the term-ratio form below."""
     a = F(a)
     out = F(1)
     for i in range(k):
         out *= a - i
     return out / math.factorial(k)
+
+
+def gen_binom_seq(a, count):
+    """The binomial coefficients a over k for k in range(count), each term
+    from the one before by the ratio (a - k)/(k + 1)."""
+    a = F(a)
+    out = [F(1)] if count > 0 else []
+    for k in range(count - 1):
+        out.append(out[-1] * (a - k) / (k + 1))
+    return out
 
 
 def test_pochhammer_base_cases():

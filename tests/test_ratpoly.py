@@ -67,6 +67,33 @@ def test_poly_eval_horner_matches_power_sum():
     assert poly_eval(p, x) == expected
 
 
+def _horner_reference(p, x):
+    """Horner in Fractions, one operation at a time: the oracle for the
+    integer Horner of poly_eval."""
+    x = F(x)
+    out = F(0)
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def test_poly_eval_matches_fraction_horner():
+    rng = random.Random(16)
+    polys = [RatPoly(), RatPoly((F(-3, 11),)), RatPoly((0, 0, 0, 1))]
+    for _ in range(40):
+        deg = rng.randint(0, 12)
+        dens = (1, rng.randint(1, 9), rng.randint(1, 10**30))
+        polys.append(RatPoly([F(rng.randint(-10**6, 10**6), rng.choice(dens)) for _ in range(deg + 1)]))
+    points = [0, 1, -1, 1728, -7, -2.5, F(1, 2), F(-3, 7), F(10**25 + 1, 10**30 - 7), F(-(10**40), 3**50)]
+    points += [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**20)) for _ in range(10)]
+    for p in polys:
+        for x in points:
+            value = poly_eval(p, x)
+            assert type(value) is F
+            assert value == _horner_reference(p, x), (p, x)
+    assert poly_eval(RatPoly(), F(5, 3)) == 0
+
+
 def _substitute_by_products(p, a, b):
     """p(a*x + b) by Horner with RatPoly products: the reference."""
     out = RatPoly()

@@ -271,6 +271,17 @@ def test_families_fail_at_the_first_degenerate_index(variant):
     assert failing == set(range(1, 12))
 
 
+def _v_rates_at_s1(m):
+    """Oracle: (lambda_m, mu_m) of V at (alpha, beta, c) = (1/2, -2/3, 7/12),
+    from the textbook rates in Fractions; m + c never vanishes there."""
+    alpha, beta, c = F(1, 2), F(-2, 3), F(7, 12)
+    s = 2 * m + 2 * c + alpha + beta
+    lam = (m + c + beta + 1) * (m + c + alpha + beta + 1) / ((s + 2) * (s + 1))
+    mu = (m + c) * (m + c + alpha) / (s * (s + 1))
+    return lam, mu
+
+
 def test_atkin_rates_are_the_associated_rates_one_index_down():
+    assert S_SET[1] == (F(1, 2), F(-2, 3), F(7, 12))
     for n in range(1, 201):
-        assert atkin_rates(n) == aj_rates(S_SET[1], n - 1, Variant.V)
+        assert atkin_rates(n) == _v_rates_at_s1(n - 1)
