@@ -14,7 +14,6 @@ from .assoc_jacobi import (
     assoc_calV,
     atkin_via_representation,
     im_calV_explicit,
-    jacobi_poly,
     monic_jacobi,
     ourrep_explicit,
     wimp_V_explicit,
@@ -51,13 +50,10 @@ from .hypergeom import (
     f21_profile_seq,
     f21_real,
     pfq,
-    u_and_y,
     u_and_y_seq,
-    watson_rhs,
 )
 from .ratpoly import (
     RatPoly,
-    affine_substitute,
     poly_eval,
     reduce_mod_p,
 )

@@ -1,5 +1,5 @@
-"""Jacobi and associated Jacobi polynomials, plus the representations of
-the normalized Atkin polynomials built from them.
+"""Associated Jacobi polynomials, plus the representations of the
+normalized Atkin polynomials built from them.
 
 Two associated families appear, differing only in how the index-zero
 death rate enters the first polynomial: V keeps it, the calligraphic
@@ -12,11 +12,12 @@ variant drops it.  Both are generated from their birth and death rates
 so from degree one on they satisfy the same three-term recurrence; a
 parameter triple at which a rate has a pole raises DomainError
 at the first index that needs it.  The explicit double sums of Wimp are
-the second route.  At c = 0 the calligraphic variant is the monic Jacobi
-family, which is where the Jacobi polynomials here come from.  Four
-parameter triples (the S constants below) tie these families to the
-normalized Atkin family, which is co-recursive: its rates are those of
-V at the second triple one index down, except lambda_0 = 5/12, mu_0 = 0.
+the second route, and the paper's own explicit form is Wimp's with two
+of its 4F3 parameters shifted.  At c = 0 the calligraphic variant is the
+monic Jacobi family (``monic_jacobi``).  Four parameter triples (the S
+constants below) tie these families to the normalized Atkin family,
+which is co-recursive: its rates are those of V at the second triple
+one index down, except lambda_0 = 5/12, mu_0 = 0.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import pochhammer
 from .hypergeom import _pfq_int
-from .ratpoly import MonicRecurrence, RatPoly, affine_substitute
+from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
 
@@ -70,14 +70,6 @@ S_SET = (
 )
 
 _CANONICAL = S_SET[1]
-
-
-def jacobi_poly(n: int, alpha, beta) -> RatPoly:
-    """Classical Jacobi polynomial P_n^{(alpha,beta)} with exact coefficients:
-    (n+alpha+beta+1)_n/n! times the monic variant at (x + 1)/2."""
-    monic = monic_jacobi(n, alpha, beta)
-    scale = pochhammer(n + _F(alpha) + _F(beta) + 1, n) / math.factorial(n)
-    return scale * affine_substitute(monic, _F(1, 2), _F(1, 2))
 
 
 def monic_jacobi(n: int, alpha, beta) -> RatPoly:
@@ -149,52 +141,60 @@ def assoc_calV(n: int, params: AJParams) -> RatPoly:
     return _assoc_family(params, Variant.CALV, n)
 
 
-def _prefactor(n: int, a: int, b: int, c: int, d: int):
-    """(pn, pd) in lowest terms with pn/pd = (-1)^n (c + 1)_n (b + c + 1)_n /
-    ((a + b + 2c + n + 1)_n n!), for alpha, beta, c given as a/d, b/d, c/d."""
-    pn = pd = 1
-    for i in range(1, n + 1):
-        pn *= -(c + i * d) * (b + c + i * d)
-        pd *= (a + b + 2 * c + (n + i) * d) * i * d
-    if pd == 0:
-        raise DomainError("prefactor denominator vanishes at degree %d" % n)
-    g = math.gcd(pn, pd)
-    return pn // g, pd // g
+def _explicit_form(n: int, params: AJParams, sums, drop: int = 0, scale: int = 1):
+    """Wimp's explicit form, the kernel of every explicit associated form.
 
+    Returns the prefactor pn/pd = (-1)^n (c + 1)_n (b + c + 1)_n /
+    ((a + b + 2c + n + 1)_n n!), (a, b) = (alpha, beta), and the
+    coefficients of x^0..x^n: power k is pn/pd c_k / ``scale`` times the
+    sum, over the integer triples (w, i, j) in ``sums``, of w times
 
-def _explicit_form(n: int, params: AJParams, drop: int) -> RatPoly:
-    """wimp_V_explicit (drop = 0) and im_calV_explicit (drop = 1)."""
+        4F3(k - n, n + k + a + b + 2c + 1, c + b + i, c + j;
+            c + b + k + 1, c + k + 1, a + b + 2c + drop; 1),
+
+    c_k = (-n)_k (n + a + b + 2c + 1)_k / ((c + 1)_k (c + b + 1)_k).  Over
+    the common denominator d every factor is an integer pair, so each
+    coefficient is one Fraction.  The sums of one power must have one
+    length (no c + b + i or c + j may end a sum before k - n does): they
+    then share the integer core's den.  Each 4F3 is 1 at k = n, so the last
+    coefficient, pn/pd c_n sum(w) / scale, is nonzero when sum(w) is."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     d = math.lcm(*(p.denominator for p in params))
     a, b, c = (p.numerator * (d // p.denominator) for p in params)  # d times alpha, beta, c
     s = a + b + 2 * c  # d times alpha + beta + 2c
-    pn, pd = _prefactor(n, a, b, c, d)
-    # ckn/ckd = (-n)_k (n + 2c + a + b + 1)_k / ((c + 1)_k (c + b + 1)_k) in
-    # lowest terms, from the value at k - 1 by its term ratio
-    ckn = ckd = 1
+    pn = pd = 1
+    for i in range(1, n + 1):
+        pn *= -(c + i * d) * (b + c + i * d)
+        pd *= (s + (n + i) * d) * i * d
+    if pd == 0:
+        raise DomainError("prefactor denominator vanishes at degree %d" % n)
+    g = math.gcd(pn, pd)
+    pn, pd = pn // g, pd // g
+    tails = [(w, c + b + i * d, c + j * d) for w, i, j in sums]
+    ckn = ckd = 1  # c_k in lowest terms, from c_{k-1} by its term ratio
     coeffs = []
     for k in range(n + 1):
-        fn, fd = _pfq_int(
-            ((k - n) * d, s + (n + k + 1) * d, c + b + drop * d, c),
-            (b + c + (k + 1) * d, c + (k + 1) * d, s + drop * d),
-            d, 1, 1,
-        )
+        dens = (b + c + (k + 1) * d, c + (k + 1) * d, s + drop * d)
+        num = 0
+        for w, e, f in tails:
+            fn, den = _pfq_int(((k - n) * d, s + (n + k + 1) * d, e, f), dens, d, 1, 1)
+            num += w * fn
         if k:
-            den = (c + k * d) * (c + b + k * d)
-            if den == 0:
+            cden = (c + k * d) * (c + b + k * d)
+            if cden == 0:
                 raise DomainError("coefficient denominator vanishes at power %d" % k)
             ckn *= (k - 1 - n) * (s + (n + k) * d) * d
-            ckd *= den
+            ckd *= cden
             g = math.gcd(ckn, ckd)
             ckn, ckd = ckn // g, ckd // g
-        coeffs.append(Fraction(pn * ckn * fn, pd * ckd * fd))
-    return RatPoly(coeffs)
+        coeffs.append(Fraction(pn * ckn * num, pd * ckd * den * scale))
+    return pn, pd, coeffs
 
 
 def wimp_V_explicit(n: int, params: AJParams) -> RatPoly:
     """Explicit double-sum form of assoc_V: one terminating 4F3 per power of x."""
-    return _explicit_form(n, params, 0)
+    return RatPoly._from_fractions(_explicit_form(n, params, ((1, 0, 0),))[2])
 
 
 def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
@@ -204,7 +204,7 @@ def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
     by one, which is exactly what dropping the index-zero death rate does
     to the series.
     """
-    return _explicit_form(n, params, 1)
+    return RatPoly._from_fractions(_explicit_form(n, params, ((1, 1, 0),), drop=1)[2])
 
 
 REP1_DEFAULT_COEFF = _F(455, 3456)
@@ -245,28 +245,14 @@ def ourrep_explicit(n: int) -> RatPoly:
     """Explicit hypergeometric form of the normalized Atkin polynomial of
     degree n+1.
 
-    The constant term is a terminating 3F2 carrying an overall factor
-    -5/12; the power-(k+1) coefficients combine two terminating 4F3
-    values with weights 6/5 and -1/5.  Dropping the -5/12 already breaks
-    the n = 0 case, whose value must be x - 5/12.  Every parameter is
-    taken over 12, so each coefficient is one Fraction of integers.
+    It is Wimp's form at S_SET[1] with the last two 4F3 numerator
+    parameters shifted: the power-(k+1) coefficient weighs the sums at
+    (c + beta + 1, c - 1) by 6/5 and at (c + beta, c - 1) by -1/5.  The
+    constant term is a terminating 3F2 carrying an overall factor -5/12;
+    dropping the -5/12 already breaks the n = 0 case, whose value must be
+    x - 5/12.
     """
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    # (-1)^n (19/12)_n (11/12)_n / ((n + 2)_n n!): S_SET[1] over 12
-    pn, pd = _prefactor(n, 6, -8, 7, 12)
+    pn, pd, coeffs = _explicit_form(n, _CANONICAL, ((6, 1, -1), (-1, 0, -1)), scale=5)
+    # 3F2(-n, n + 2, 7/12; 19/12, 2; 1), over 12
     fn, fd = _pfq_int((-12 * n, 12 * n + 24, 7), (19, 24), 12, 1, 1)
-    coeffs = [Fraction(-5 * pn * fn, 12 * pd * fd)]
-    ckn = ckd = 1  # (-n)_k (n + 2)_k / ((19/12)_k (11/12)_k) in lowest terms
-    for k in range(n + 1):
-        dens = (12 * k + 11, 12 * k + 19, 12)
-        # the two sums share their denominator parameters and length, so
-        # the integer core returns the same den for both
-        f1n, fd = _pfq_int((12 * (k - n), 12 * (n + k + 2), 11, -5), dens, 12, 1, 1)
-        f2n, _ = _pfq_int((12 * (k - n), 12 * (n + k + 2), -1, -5), dens, 12, 1, 1)
-        coeffs.append(Fraction(pn * ckn * (6 * f1n - f2n), 5 * pd * ckd * fd))  # 6/5 f1 - 1/5 f2
-        ckn *= (k - n) * (n + 2 + k) * 144
-        ckd *= (19 + 12 * k) * (11 + 12 * k)
-        g = math.gcd(ckn, ckd)
-        ckn, ckd = ckn // g, ckd // g
-    return RatPoly(coeffs)
+    return RatPoly._from_fractions([Fraction(-5 * pn * fn, 12 * pd * fd)] + coeffs)

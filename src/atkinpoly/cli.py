@@ -113,6 +113,14 @@ def _params_from(args) -> aj.AJParams:
     return aj.AJParams(args.alpha, args.beta, args.c)
 
 
+def _double_params(params: aj.AJParams) -> tuple:
+    """(alpha, beta, c) as doubles; a rational past their range is a DomainError."""
+    try:
+        return tuple(float(p) for p in params)
+    except OverflowError:
+        raise DomainError("--alpha, --beta and --c must lie in the range of a double") from None
+
+
 def _params_inputs(params: aj.AJParams) -> dict:
     return {"alpha": rat_str(params.alpha), "beta": rat_str(params.beta), "c": rat_str(params.c)}
 
@@ -232,6 +240,7 @@ def _cmd_genfun(args):
     if args.which == "uy":
         params = _params_from(args)
         inputs.update(x=args.x, **_params_inputs(params))
+        _double_params(params)
         r = genfun.gen_uy_check(params, args.x, args.t, args.n)
         residual = max(
             abs(r.u_partial_sum - r.u_closed_form),
@@ -247,10 +256,7 @@ def _cmd_genfun(args):
         if args.which == "fjk":
             params = _params_from(args)
             inputs.update(x=args.x, **_params_inputs(params))
-            lhs, rhs = genfun.fjk_check(
-                float(params.alpha), float(params.beta), float(params.c),
-                args.x, args.t, args.n,
-            )
+            lhs, rhs = genfun.fjk_check(*_double_params(params), args.x, args.t, args.n)
             provenance["partial_sum"] = "truncated hypergeometric series"
         elif args.which == "catalan":
             inputs["x"] = args.x

@@ -34,8 +34,10 @@ def catalan(n: int) -> int:
 
 
 def rat_str(q) -> str:
-    """Serialize a rational as "num/den" in lowest terms, "num" if integral."""
+    """Serialize a rational as "num/den" in lowest terms, "num" if integral.
+    A part longer than Python's int-to-str digit limit is a DomainError."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    try:
+        return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:
+        raise DomainError("a rational has more digits than Python's int-to-str limit") from None

@@ -6,7 +6,7 @@ That integer core feeds every explicit coefficient formula in the
 package, which keeps its parameters over one denominator too.  The
 numeric half provides the Gauss function on the real interval, the two
 solutions U_n and Y_n of the associated recurrence, the C/D combination,
-and the two large-n asymptotic right-hand sides.
+and the large-n asymptotic formula for the normalized Atkin polynomials.
 
 A note on large n: series like 2F1(b - n, n + a; d; x) are numerically
 hopeless when summed directly for n beyond roughly 25, because the terms
@@ -435,14 +435,6 @@ def u_and_y_seq(params, x: float, nmax: int):
     return us, ys
 
 
-def u_and_y(n: int, params, x: float):
-    """The solution pair (U_n(x), Y_n(x))."""
-    if not 0.0 < x < 1.0:
-        raise DomainError("u_and_y requires x in (0, 1)")
-    us, ys = u_and_y_seq(params, x, n)
-    return us[n], ys[n]
-
-
 def c_and_d(x: float):
     """The coefficient pair (C(x), D(x)) of the two-solution combination."""
     f1 = f21_real(-5.0 / 12.0, -5.0 / 12.0, -1.0 / 3.0, x)
@@ -454,22 +446,6 @@ def c_and_d(x: float):
     dval = (91.0 / 384.0) * x * (4.0 * f3.value - 5.0 * f4.value)
     derr = abs(x) * (91.0 / 384.0) * (4.0 * f3.abs_error_estimate + 5.0 * f4.abs_error_estimate)
     return RealValue(cval, cerr + 5e-16 * abs(cval)), RealValue(dval, derr + 5e-16 * abs(dval))
-
-
-def watson_rhs(a: float, b: float, d: float, theta: float, n: int) -> float:
-    """Leading asymptotic term for 2F1(b - n, n + a; d; sin^2 theta)."""
-    if not 0.0 < theta < math.pi:
-        raise DomainError("theta must lie in (0, pi)")
-    if n < 1:
-        raise DomainError("n must be positive")
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    expo = d - a - b - 0.5
-    if ct < 0.0 and expo != math.floor(expo):
-        raise DomainError("negative cosine with fractional exponent")
-    pref = math.gamma(d) * n ** (0.5 - d) / math.sqrt(math.pi)
-    pref *= ct**expo / st ** (d - 0.5)
-    return pref * math.cos(2.0 * n * theta + (a - b) * theta - 0.5 * math.pi * (d - 0.5))
 
 
 def atkin_asymptotic(n: int, theta: float) -> float:

@@ -121,29 +121,6 @@ def poly_eval(p: RatPoly, x) -> Fraction:
     return Fraction(acc, big_l * (xd_power // xd))
 
 
-def affine_substitute(p: RatPoly, a, b) -> RatPoly:
-    """Return q with q(x) = p(a*x + b), exactly.
-
-    A Taylor shift by b (O(n^2), skipped when b = 0) gives p(x + b);
-    scaling its coefficient of x^j by a^j then gives p(a*x + b) in O(n).
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0:
-        raise DomainError("degenerate affine substitution: a = 0")
-    cs = list(p.coeffs)
-    if b:
-        # synthetic division by (x - b), repeated: pass i fixes coefficient i
-        for i in range(len(cs) - 1):
-            for j in range(len(cs) - 2, i - 1, -1):
-                cs[j] += b * cs[j + 1]
-    power = Fraction(1)
-    for j in range(len(cs)):
-        cs[j] *= power
-        power *= a
-    return RatPoly._from_fractions(cs)
-
-
 class MonicRecurrence:
     """Members of the monic three-term recurrence with birth and death
     rates (lambda_m, mu_m),

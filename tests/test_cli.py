@@ -199,6 +199,23 @@ def test_rep1_coeff_with_another_representation_exits_one(capsys):
     assert captured.err == "atkinpoly: error: --rep1-coeff only applies to rep1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a parameter past the range of a double used to leave cli.main as an OverflowError
+    (["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "1e400"],
+     "--alpha, --beta and --c must lie in the range of a double"),
+    (["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--c", "-1e400"],
+     "--alpha, --beta and --c must lie in the range of a double"),
+    # a coefficient past the int-to-str digit limit used to leave it as a ValueError
+    (["assoc-jacobi", "--n", "13", "--alpha", "1e300", "--beta", "0", "--c", "-1/12"],
+     "a rational has more digits than Python's int-to-str limit"),
+])
+def test_huge_parameters_are_domain_errors(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "atkinpoly: error: %s\n" % message
+
+
 def test_weight_at_a_subnormal_point(capsys):
     # j/1728 is subnormal here; both weight routes still agree
     code, out = _run(capsys, ["weight", "--x", "1e-315"])
@@ -433,6 +450,8 @@ GOLDEN_STDOUT = (
      "632fc941f40c26f1a868e0475ba23a3b998ba8796827a68037287cf47b1965d9"),
     (["explicit-check", "--n", "200", "--form", "assoc-v"],
      "157c813c9ab8831ca5bf9e3445dee7e9e88941df8873584689d3745b46e27ad8"),
+    (["explicit-check", "--n", "200", "--form", "assoc-calv", "--alpha", "-1/2", "--beta", "2/3", "--c", "5/12"],
+     "b4b878b3265ee86ff8ba8ec88d185f725928250cfec754cb02e1ad9c8931aae7"),
     # a Chebyshev family, (alpha, beta) = (1/2, -1/2), where n + c = 0 cancels at index 0
     (["assoc-jacobi", "--n", "200", "--alpha", "1/2", "--beta", "-1/2", "--c", "0", "--variant", "calV"],
      "76232ea8073c083c42bb09fb2451aa2fd7d83ba08598a28e8fe4a0f44dd75343"),

@@ -23,7 +23,7 @@ from atkinpoly.genfun import (
     gen_uy_check,
     gen_zero_pfaff_residual,
 )
-from atkinpoly.hypergeom import f21_real, u_and_y
+from atkinpoly.hypergeom import f21_real, u_and_y_seq
 
 CANON = S_SET[1]
 
@@ -88,7 +88,7 @@ def test_uy_generating_functions():
 def test_uy_generating_functions_at_t_zero_are_the_first_pair():
     for x in (0.2, 0.5, 0.8):
         r = gen_uy_check(CANON, x, 0.0, 5)
-        u0, y0 = u_and_y(0, CANON, x)
+        (u0,), (y0,) = u_and_y_seq(CANON, x, 0)
         assert r.u_partial_sum == r.u_closed_form
         assert r.y_partial_sum == r.y_closed_form
         assert abs(r.u_closed_form - u0.value) <= u0.abs_error_estimate

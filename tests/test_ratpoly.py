@@ -7,12 +7,7 @@ import pytest
 
 from atkinpoly.errors import DomainError
 from atkinpoly.fp import FpPoly, fp_divmod, fp_gcd
-from atkinpoly.ratpoly import (
-    RatPoly,
-    affine_substitute,
-    poly_eval,
-    reduce_mod_p,
-)
+from atkinpoly.ratpoly import RatPoly, poly_eval, reduce_mod_p
 
 
 def _random_poly(rng, deg):
@@ -92,37 +87,6 @@ def test_poly_eval_matches_fraction_horner():
             assert type(value) is F
             assert value == _horner_reference(p, x), (p, x)
     assert poly_eval(RatPoly(), F(5, 3)) == 0
-
-
-def _substitute_by_products(p, a, b):
-    """p(a*x + b) by Horner with RatPoly products: the reference."""
-    out = RatPoly()
-    for c in reversed(p.coeffs):
-        out = out * RatPoly((b, a)) + c
-    return out
-
-
-def test_affine_substitute():
-    p = RatPoly((0, 0, 1))  # x^2
-    q = affine_substitute(p, 2, 3)  # (2x+3)^2
-    assert q == RatPoly((9, 12, 4))
-    # composition respects evaluation
-    assert poly_eval(q, F(5)) == poly_eval(p, 2 * F(5) + 3)
-    rng = random.Random(2)
-    cases = [(F(1728), F(0)), (F(-3, 4), F(0)), (F(2), F(-1)), (F(-5, 3), F(7, 2)), (F(1), F(1, 9))]
-    for deg in (5, 8):
-        p = _random_poly(rng, deg)
-        for a, b in cases:
-            q = affine_substitute(p, a, b)
-            assert q == _substitute_by_products(p, a, b)
-            assert q.degree() == deg
-            x = F(rng.randint(-9, 9), rng.randint(1, 9))
-            assert poly_eval(q, x) == poly_eval(p, a * x + b)
-    for a, b in cases:
-        assert affine_substitute(RatPoly((F(-2, 7),)), a, b) == RatPoly((F(-2, 7),))
-        assert affine_substitute(RatPoly(), a, b).is_zero()
-    with pytest.raises(DomainError):
-        affine_substitute(p, 0, 1)
 
 
 def test_reduce_mod_p():
