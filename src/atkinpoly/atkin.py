@@ -32,12 +32,12 @@ def atkin_rates(n: int):
     return _V_RATES(n - 1)
 
 
-@functools.cache
 def _rates(m: int):
     """(lambda_m, mu_m) of the normalized family, co-recursive at m = 0."""
     return (_F(5, 12), _F(0)) if m == 0 else atkin_rates(m)
 
 
+@functools.cache
 def _float_coeffs(m: int):
     # shift lambda_m + mu_m and product lambda_{m-1} mu_m, rounded once each
     lam, mu = _rates(m)

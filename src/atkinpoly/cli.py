@@ -33,7 +33,7 @@ from .atkin import (
 )
 from .errors import AtkinError, DomainError
 from .exact import rat_str
-from .hypergeom import atkin_asymptotic
+from .hypergeom import atkin_asymptotic, double_params
 
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
@@ -114,10 +114,10 @@ def _params_from(args) -> aj.AJParams:
 
 
 def _double_params(params: aj.AJParams) -> tuple:
-    """(alpha, beta, c) as doubles; a rational past their range is a DomainError."""
+    """(alpha, beta, c) as doubles, refused in the words of the flags."""
     try:
-        return tuple(float(p) for p in params)
-    except OverflowError:
+        return double_params(params)
+    except DomainError:
         raise DomainError("--alpha, --beta and --c must lie in the range of a double") from None
 
 
@@ -145,37 +145,34 @@ def _cmd_assoc_jacobi(args):
     return inputs, results, provenance, 0
 
 
-_REP_NAMES = {"rep1": "Rep1", "rep2": "Rep2", "rep3": "Rep3"}
+def _compared(inputs, label, mechanism, candidate, target):
+    """Handler result of a check of ``candidate``, made by ``mechanism``, against ``target``."""
+    matched = candidate == target
+    results = {
+        "matched": matched,
+        label: _coeff_strings(candidate),
+        "recurrence": _coeff_strings(target),
+    }
+    provenance = {label: mechanism, "recurrence": "three-term recurrence"}
+    return inputs, results, provenance, 0 if matched else 2
 
 
 def _cmd_rep_check(args):
     _check_exact_degree(args.n)
-    which = _REP_NAMES[args.which]
-    kwargs = {}
     inputs = {"n": args.n, "which": args.which}
     if args.rep1_coeff is not None:
         if args.which != "rep1":
             raise DomainError("--rep1-coeff only applies to rep1")
-        kwargs["rep1_coeff"] = args.rep1_coeff
         inputs["rep1_coeff"] = rat_str(args.rep1_coeff)
-    candidate = aj.atkin_via_representation(args.n, which, **kwargs)
+    candidate = aj.atkin_via_representation(args.n, args.which.capitalize(), args.rep1_coeff)
     target = atkin_normalized(args.n + 1)
-    matched = candidate == target
-    results = {
-        "matched": matched,
-        "representation": _coeff_strings(candidate),
-        "recurrence": _coeff_strings(target),
-    }
-    provenance = {
-        "representation": "associated-polynomial combination",
-        "recurrence": "three-term recurrence",
-    }
-    return inputs, results, provenance, 0 if matched else 2
+    return _compared(inputs, "representation", "associated-polynomial combination", candidate, target)
 
 
 def _cmd_explicit_check(args):
     _check_exact_degree(args.n)
     inputs = {"n": args.n, "form": args.form}
+    mechanism = "terminating hypergeometric sums"
     if args.form == "binomial":
         candidate = kz_explicit(args.n)
         target = atkin_normalized(args.n)
@@ -183,7 +180,6 @@ def _cmd_explicit_check(args):
     elif args.form == "hypergeometric":
         candidate = aj.ourrep_explicit(args.n)
         target = atkin_normalized(args.n + 1)
-        mechanism = "terminating hypergeometric sums"
     else:
         params = _params_from(args)
         inputs.update(_params_inputs(params))
@@ -193,18 +189,7 @@ def _cmd_explicit_check(args):
         else:
             candidate = aj.im_calV_explicit(args.n, params)
             target = aj.assoc_calV(args.n, params)
-        mechanism = "terminating hypergeometric sums"
-    matched = candidate == target
-    results = {
-        "matched": matched,
-        "explicit": _coeff_strings(candidate),
-        "recurrence": _coeff_strings(target),
-    }
-    provenance = {
-        "explicit": mechanism,
-        "recurrence": "three-term recurrence",
-    }
-    return inputs, results, provenance, 0 if matched else 2
+    return _compared(inputs, "explicit", mechanism, candidate, target)
 
 
 def _cmd_asymptotic(args):
@@ -237,26 +222,20 @@ def _cmd_genfun(args):
         "partial_sum": "truncated series of recurrence-built values",
         "closed_form": "product of Gauss functions at the algebraic substitution",
     }
-    if args.which == "uy":
+    if args.which in ("uy", "fjk"):
         params = _params_from(args)
         inputs.update(x=args.x, **_params_inputs(params))
-        _double_params(params)
+        doubles = _double_params(params)
+    if args.which == "uy":
         r = genfun.gen_uy_check(params, args.x, args.t, args.n)
         residual = max(
             abs(r.u_partial_sum - r.u_closed_form),
             abs(r.y_partial_sum - r.y_closed_form),
         )
-        results = {
-            "u_partial_sum": r.u_partial_sum,
-            "u_closed_form": r.u_closed_form,
-            "y_partial_sum": r.y_partial_sum,
-            "y_closed_form": r.y_closed_form,
-        }
+        results = r._asdict()
     else:
         if args.which == "fjk":
-            params = _params_from(args)
-            inputs.update(x=args.x, **_params_inputs(params))
-            lhs, rhs = genfun.fjk_check(*_double_params(params), args.x, args.t, args.n)
+            lhs, rhs = genfun.fjk_check(*doubles, args.x, args.t, args.n)
             provenance["partial_sum"] = "truncated hypergeometric series"
         elif args.which == "catalan":
             inputs["x"] = args.x
@@ -286,7 +265,11 @@ def _cmd_gram(args):
     if not 0 <= args.n <= 8:
         raise DomainError("gram --n must lie in 0..8")
     size = args.n + 1
-    matrix = [[weight.gram(m, k) for k in range(size)] for m in range(size)]
+    matrix = [[0.0] * size for _ in range(size)]
+    for m in range(size):
+        for k in range(m, size):
+            # the integrand's product p_m p_k commutes, so gram(k, m) is this same double
+            matrix[m][k] = matrix[k][m] = weight.gram(m, k)
     inputs = {"n": args.n}
     results = {"matrix": matrix, "precision": _PRECISION}
     provenance = {"matrix": "tanh-sinh quadrature against the weight, split at 864"}
@@ -348,7 +331,7 @@ def build_parser() -> _Parser:
 
     p = add("rep-check", _cmd_rep_check, "compare a representation with the recurrence")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
-    p.add_argument("--which", choices=tuple(_REP_NAMES), required=True)
+    p.add_argument("--which", choices=("rep1", "rep2", "rep3"), required=True)
     p.add_argument("--rep1-coeff", type=_rational, default=None)
 
     p = add("explicit-check", _cmd_explicit_check, "compare an explicit formula with the recurrence")

@@ -17,7 +17,7 @@ from collections import namedtuple
 from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
 from .errors import DomainError
 from .exact import catalan
-from .hypergeom import c_and_d, checked_denominator, f21_profile_seq, f21_real, u_and_y_seq
+from .hypergeom import c_and_d, checked_denominator, double_params, f21_profile_seq, f21_real, u_and_y_seq
 
 
 class DeltaEpsilon(namedtuple("DeltaEpsilon", "t x delta epsilon")):
@@ -92,7 +92,7 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in (0, 1)")
     _check_series(t, N)
-    af, bf, cf = float(params.alpha), float(params.beta), float(params.c)
+    af, bf, cf = double_params(params)
     if t == 0.0:
         u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x).value
         y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x).value

@@ -46,6 +46,14 @@ def checked_denominator(value: float, where: str) -> float:
     return value
 
 
+def double_params(params) -> tuple:
+    """(alpha, beta, c) as doubles; a parameter past their range is a DomainError."""
+    try:
+        return tuple(float(p) for p in params)
+    except OverflowError:
+        raise DomainError("alpha, beta and c must lie in the range of a double") from None
+
+
 def pfq(numerator_params, denominator_params, argument) -> Fraction:
     """Exact sum of a terminating pFq at a rational argument.
 
@@ -424,7 +432,7 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
 
 def u_and_y_seq(params, x: float, nmax: int):
     """U_n(x) and Y_n(x) for n = 0..nmax at the given (alpha, beta, c)."""
-    af, bf, cf = float(params.alpha), float(params.beta), float(params.c)
+    af, bf, cf = double_params(params)
     gs = _scale_factors(nmax, lambda n: (
         (af + bf + 2 * cf + 1.0 + 2 * n) * (af + bf + 2 * cf + 2.0 + 2 * n)
         / ((cf + 1.0 + n) * (af + bf + cf + 1.0 + n))

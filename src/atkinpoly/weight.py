@@ -160,8 +160,8 @@ _TMAX = 4.8
 
 @functools.lru_cache(maxsize=32)
 def _level_nodes(a: float, b: float, level: int):
-    """Node records (x, dist_a, dist_b, quad_weight) that level ``level``
-    adds on (a, b), for +t and -t; the step there is 0.5**level.
+    """Node records (x, dist_0, dist_1728, quad_weight) that level ``level``
+    adds on (a, b) within (0, 1728), for +t and -t; the step there is 0.5**level.
 
     Cached: both pieces at every level up to the default cap fit.  The
     records lie end to end in one array of doubles, 32 bytes a node, so
@@ -175,6 +175,7 @@ def _level_nodes(a: float, b: float, level: int):
     else:
         ts = [k * h for k in range(1, int(_TMAX / h) + 1, 2)]
     r = 0.5 * (b - a)
+    beyond_b = 1728.0 - b
     out = []
     for t in ts:
         u = 0.5 * _PI * math.sinh(t)
@@ -184,22 +185,22 @@ def _level_nodes(a: float, b: float, level: int):
         near = 2.0 * r * e / (1.0 + e)  # distance from the nearer endpoint
         far = 2.0 * r / (1.0 + e)
         # +t: node near b; -t: mirror near a
-        out += (b - near, far, near, wq)
+        out += (b - near, far + a, near + beyond_b, wq)
         if t > 0.0:
-            out += (a + near, near, far, wq)
+            out += (a + near, near + a, far + beyond_b, wq)
     return array.array("d", out)
 
 
 def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int) -> float:
-    """Integrate g over (a, b); g takes (x, dist_a, dist_b)."""
+    """Integrate g over (a, b) within (0, 1728); g takes (x, dist_0, dist_1728)."""
     total = 0.0
     prev = None
     for level in range(cap + 1):
         h = 0.5**level
         part = 0.0
         records = iter(_level_nodes(a, b, level))
-        for x, da, db, wq in zip(records, records, records, records):
-            part += wq * g(x, da, db)
+        for x, d0, d1728, wq in zip(records, records, records, records):
+            part += wq * g(x, d0, d1728)
         if level == 0:
             total = h * part
         else:
@@ -216,8 +217,8 @@ _SPLIT = 864.0
 def _integrate_sing(g) -> float:
     """Integral over (0, 1728) of a distance-aware integrand g(x, d0, d1728)."""
     tol, cap = _QUAD_TOLERANCE, _QUAD_LEVEL_CAP
-    left = _tanh_sinh_piece(lambda x, da, db: g(x, da, db + _SPLIT), 0.0, _SPLIT, tol, cap)
-    right = _tanh_sinh_piece(lambda x, da, db: g(x, da + _SPLIT, db), _SPLIT, 1728.0, tol, cap)
+    left = _tanh_sinh_piece(g, 0.0, _SPLIT, tol, cap)
+    right = _tanh_sinh_piece(g, _SPLIT, 1728.0, tol, cap)
     return left + right
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from atkinpoly.assoc_jacobi import S_SET
+from atkinpoly.assoc_jacobi import S_SET, AJParams
 from atkinpoly.atkin import atkin_at_one, atkin_at_zero
 from atkinpoly.errors import DomainError
 from atkinpoly.exact import catalan, pochhammer
@@ -197,6 +197,18 @@ def test_truncation_order_must_be_positive():
         for N in (0, -5):
             with pytest.raises(DomainError, match="N must be positive"):
                 call(N)
+
+
+def test_parameters_past_a_double_are_domain_errors():
+    # float(10**400) overflows: the U/Y routes refuse it, at t = 0 too
+    huge = AJParams(10**400, 0, 0)
+    for call in (
+        lambda: gen_uy_check(huge, 0.5, 0.3, 5),
+        lambda: gen_uy_check(huge, 0.5, 0.0, 5),
+        lambda: u_and_y_seq(huge, 0.5, 5),
+    ):
+        with pytest.raises(DomainError, match="^alpha, beta and c must lie in the range of a double$"):
+            call()
 
 
 def test_endpoint_coefficient_identities():
