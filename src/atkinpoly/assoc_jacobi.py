@@ -17,11 +17,13 @@ of its 4F3 parameters shifted.  At c = 0 the calligraphic variant is the
 monic Jacobi family (``monic_jacobi``).  Four parameter triples (the S
 constants below) tie these families to the normalized Atkin family,
 which is co-recursive: its rates are those of V at the second triple
-one index down, except lambda_0 = 5/12, mu_0 = 0.
+one index down, except lambda_0 = 5/12, mu_0 = 0; so each representation
+is one step (x - s) P - q Q of the engine's kernel on two members.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from enum import Enum
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .hypergeom import _pfq_int
-from .ratpoly import MonicRecurrence, RatPoly
+from .ratpoly import MonicRecurrence, RatPoly, _poly_of, _recur
 
 _F = Fraction
 
@@ -116,19 +118,15 @@ def aj_rates(params: AJParams, n: int, variant) -> tuple:
     return _rates_of(params, variant)(n)
 
 
-# Per-process cache of one recurrence engine per (alpha, beta, c, variant),
-# append-only and unbounded; filling it is single-threaded.
-_FAMILY_CACHE: dict = {}
+@functools.cache  # per process, append-only and unbounded; filled single-threaded
+def _family(params: AJParams, variant: Variant) -> MonicRecurrence:
+    return MonicRecurrence(_rates_of(params, variant))
 
 
 def _assoc_family(params: AJParams, variant: Variant, n: int) -> RatPoly:
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    key = (params.alpha, params.beta, params.c, variant)
-    family = _FAMILY_CACHE.get(key)
-    if family is None:
-        family = _FAMILY_CACHE[key] = MonicRecurrence(_rates_of(params, variant))
-    return family.poly(n)
+    return _family(params, variant).poly(n)
 
 
 def assoc_V(n: int, params: AJParams) -> RatPoly:
@@ -209,36 +207,38 @@ def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
 
 REP1_DEFAULT_COEFF = _F(455, 3456)
 
-_REP2_PARAMS = S_SET[2]
+_REP1_SHIFT = _F(5, 12)
+_REP1_SHIFTED = AJParams(_CANONICAL.alpha, _CANONICAL.beta, _CANONICAL.c + 1)
+
+# (triple, s, q) of Rep2 and Rep3: (x - s) V_n - q calV_n at the triple
+_REP_STEPS = {
+    Representation.REP2: (S_SET[2], _F(8), _F(-91, 12)),
+    Representation.REP3: (_CANONICAL, _F(0), _F(5, 12)),
+}
 
 
 def atkin_via_representation(n: int, which, rep1_coeff=None) -> RatPoly:
     """Degree-(n+1) monic polynomial from one of the three representations.
 
     All three are intended to reproduce the normalized Atkin polynomial
-    of degree n+1.  The first one multiplies V_{n-1} at shifted c+1 by a
-    scalar; the default 455/3456 is forced by the n = 1 constant term
-    (the value 91/384 that also circulates fails there, which is why the
-    scalar stays configurable).
+    of degree n+1.  The first one is (x - 5/12) V_n minus a scalar times
+    V_{n-1} at shifted c+1 (zero at n = 0); the default 455/3456 is forced
+    by the n = 1 constant term (the value 91/384 that also circulates
+    fails there, which is why the scalar stays configurable).
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
     which = Representation(which)
     if which is Representation.REP1:
         kappa = REP1_DEFAULT_COEFF if rep1_coeff is None else _F(rep1_coeff)
-        out = RatPoly((_F(-5, 12), 1)) * assoc_V(n, _CANONICAL)
-        if n >= 1:
-            shifted = AJParams(_CANONICAL.alpha, _CANONICAL.beta, _CANONICAL.c + 1)
-            out = out - kappa * assoc_V(n - 1, shifted)
-        return out
+        v = _family(_CANONICAL, Variant.V).member(n)
+        shifted = _family(_REP1_SHIFTED, Variant.V).member(n - 1) if n else ((), 1)
+        return _poly_of(_recur(v, _REP1_SHIFT, shifted, kappa))
     if rep1_coeff is not None:
         raise DomainError("rep1_coeff only applies to the first representation")
-    if which is Representation.REP2:
-        return (
-            RatPoly((_F(-8), 1)) * assoc_V(n, _REP2_PARAMS)
-            + _F(91, 12) * assoc_calV(n, _REP2_PARAMS)
-        )
-    return RatPoly((0, 1)) * assoc_V(n, _CANONICAL) - _F(5, 12) * assoc_calV(n, _CANONICAL)
+    params, s, q = _REP_STEPS[which]
+    v, calv = _family(params, Variant.V).member(n), _family(params, Variant.CALV).member(n)
+    return _poly_of(_recur(v, s, calv, q))
 
 
 def ourrep_explicit(n: int) -> RatPoly:

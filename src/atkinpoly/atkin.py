@@ -88,7 +88,8 @@ def kz_explicit(n: int) -> RatPoly:
         bd *= 144 * (i + 1) ** 2
         g = math.gcd(bn, bd)
         bn, bd = bn // g, bd // g
-    return RatPoly(coeffs)
+    # the last coefficient, 4F3(0, ...; 1) = 1 at i = 0, is nonzero
+    return RatPoly._from_fractions(coeffs)
 
 
 def atkin_at_zero(n: int) -> Fraction:

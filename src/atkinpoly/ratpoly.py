@@ -1,10 +1,11 @@
 """Dense univariate polynomials over the rationals, and the engine that
 generates a monic three-term recurrence from its birth and death rates.
 
-Coefficients are stored ascending by degree with trailing zeros trimmed,
-so the zero polynomial is the empty tuple and the leading coefficient of
-anything else is nonzero.  All arithmetic is exact; floating evaluation
-belongs to the numeric modules.
+``RatPoly`` is a value type: coefficients ascending by degree, trailing
+zeros trimmed, so the zero polynomial is the empty tuple.  It does no
+arithmetic: all exact arithmetic is done in integer kernels over one common
+denominator (``_recur``, ``poly_eval``, the explicit forms).  Floating
+evaluation belongs to the numeric modules.
 """
 
 from __future__ import annotations
@@ -41,54 +42,9 @@ class RatPoly:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == _coerce(other)
         return NotImplemented
 
     def __hash__(self):
@@ -96,12 +52,6 @@ class RatPoly:
 
     def __repr__(self):
         return "RatPoly(%r)" % (list(self.coeffs),)
-
-
-def _coerce(v) -> RatPoly:
-    if isinstance(v, RatPoly):
-        return v
-    return RatPoly((Fraction(v),))
 
 
 def poly_eval(p: RatPoly, x) -> Fraction:
@@ -121,6 +71,34 @@ def poly_eval(p: RatPoly, x) -> Fraction:
     return Fraction(acc, big_l * (xd_power // xd))
 
 
+def _recur(p, s, r, q):
+    """(x - s) P - q R for members p = (numerators, d) of P and r of R, as
+    a member over its least common denominator.  s and q are Fractions or
+    ints, used as they are; R, maybe the zero member ((), 1), is no longer
+    than P, so the result is one longer and its last entry nonzero."""
+    (pn, pd), (rn, rd) = p, r
+    # the result over den, a common multiple of pd s.den and rd q.den
+    den = lcm(pd * s.denominator, rd * q.denominator)
+    u = den // pd
+    v = s.numerator * (u // s.denominator)
+    w = q.numerator * (den // (rd * q.denominator))
+    out = [0] + [u * c for c in pn]
+    for i, c in enumerate(pn):
+        out[i] -= v * c
+    for i, c in enumerate(rn):
+        out[i] -= w * c
+    g = gcd(den, *out)
+    if g > 1:
+        return tuple([c // g for c in out]), den // g
+    return tuple(out), den
+
+
+def _poly_of(member) -> RatPoly:
+    """The RatPoly of a member (numerators, d)."""
+    nums, den = member
+    return RatPoly._from_fractions([Fraction(c, den) for c in nums])
+
+
 class MonicRecurrence:
     """Members of the monic three-term recurrence with birth and death
     rates (lambda_m, mu_m),
@@ -136,12 +114,11 @@ class MonicRecurrence:
 
     Every member is held as a tuple of integer numerators over one common
     denominator, reduced by their gcd, so the denominator is the least
-    common denominator of the coefficients.  A step reads the last two
-    members only and costs O(m) integer operations and no Fraction
-    arithmetic beyond the rates.  ``member(n)`` hands out that integer
-    pair; ``poly(n)`` builds the RatPoly of P_n on request and caches it.
-    Both caches are append-only and unbounded, and live as long as the
-    object; filling them is not thread-safe.
+    common denominator of the coefficients.  A step is one ``_recur`` on
+    the last two members, O(m) integer operations.  ``member(n)`` hands
+    out that integer pair; ``poly(n)`` builds the RatPoly value of P_n on
+    request and caches it.  Both caches are append-only and unbounded,
+    and live as long as the object; filling them is not thread-safe.
     """
 
     def __init__(self, rates):
@@ -166,30 +143,14 @@ class MonicRecurrence:
         """P_n as a RatPoly, built once and cached."""
         p = self._polys.get(n)
         if p is None:
-            nums, den = self.member(n)
-            p = self._polys[n] = RatPoly._from_fractions([Fraction(c, den) for c in nums])
+            p = self._polys[n] = _poly_of(self.member(n))
         return p
 
     def _step(self, m: int):
-        (prev, prev_den), (cur, cur_den) = self._members[-2], self._members[-1]
         lam, mu = self._rates(m)
-        s = lam + mu
-        q = self._lam * mu
-        # P_{m+1} = x*cur/cur_den - s*cur/cur_den - q*prev/prev_den, over den
-        den = lcm(cur_den * s.denominator, prev_den * q.denominator)
-        u = den // cur_den
-        v = s.numerator * (u // s.denominator)
-        w = q.numerator * (den // (prev_den * q.denominator))
-        nxt = [0] + [u * c for c in cur]
-        for i, c in enumerate(cur):
-            nxt[i] -= v * c
-        for i, c in enumerate(prev):
-            nxt[i] -= w * c
+        nxt = _recur(self._members[-1], lam + mu, self._members[-2], self._lam * mu)
         self._lam = lam
-        g = gcd(den, *nxt)
-        if g > 1:
-            return tuple([c // g for c in nxt]), den // g
-        return tuple(nxt), den
+        return nxt
 
 
 def reduce_mod_p(p: RatPoly, prime: int) -> FpPoly:

@@ -126,16 +126,17 @@ def rep1_solved_coeff(n: int) -> Fraction:
     """The scalar that makes the first representation exact at degree n+1.
 
     Diagnostic: solves for the coefficient of V_{n-1}(x; c+1) by matching
-    against the recurrence-built Atkin polynomial, then checks that the
-    whole difference really is that single multiple.
+    Rep1 at scalar 0 against the recurrence-built Atkin polynomial, then
+    checks that the whole difference really is that single multiple.
     """
     if n < 1:
         raise DomainError("the scalar only enters for n >= 1")
     canon = aj.S_SET[1]
-    diff = RatPoly((_F(-5, 12), 1)) * aj.assoc_V(n, canon) - atkin_normalized(n + 1)
-    w = aj.assoc_V(n - 1, canon._replace(c=canon.c + 1))
-    kappa = diff.coefficient(n - 1)  # w is monic of degree n-1
-    if diff != kappa * w:
+    head = aj.atkin_via_representation(n, "Rep1", rep1_coeff=0).coeffs
+    diff = [a - b for a, b in zip(head, atkin_normalized(n + 1).coeffs)]
+    w = aj.assoc_V(n - 1, canon._replace(c=canon.c + 1)).coeffs
+    kappa = diff[n - 1]  # w is monic of degree n-1
+    if diff != [kappa * c for c in w] + [0, 0]:
         raise InternalInconsistency(
             "difference at n=%d is not a scalar multiple of the shifted polynomial" % n
         )

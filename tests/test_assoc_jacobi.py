@@ -14,6 +14,7 @@ from atkinpoly.assoc_jacobi import (
     S_SET,
     AJParams,
     Variant,
+    _family,
     aj_rates,
     assoc_V,
     assoc_calV,
@@ -29,6 +30,7 @@ from atkinpoly.exact import pochhammer
 from atkinpoly.hypergeom import pfq
 from atkinpoly.ratpoly import RatPoly
 from atkinpoly.selftest import rep1_solved_coeff
+from schoolbook import combine, compose
 
 CANON = S_SET[1]
 
@@ -46,22 +48,16 @@ def _jacobi_loop(nmax, alpha, beta):
         den = 2 * (m + 1) * (m + ab + 1) * (2 * m + ab)
         if den == 0:
             return out + [DomainError] * (nmax - m)
-        lin = RatPoly(
-            (
-                (2 * m + ab + 1) * (alpha * alpha - beta * beta) / den,
+        out.append(
+            combine(
                 (2 * m + ab + 1) * (2 * m + ab) * (2 * m + ab + 2) / den,
+                (2 * m + ab + 1) * (alpha * alpha - beta * beta) / den,
+                out[m],
+                -F(2 * (m + alpha) * (m + beta) * (2 * m + ab + 2)) / den,
+                out[m - 1],
             )
         )
-        out.append(lin * out[m] - (F(2 * (m + alpha) * (m + beta) * (2 * m + ab + 2)) / den) * out[m - 1])
     return out[: nmax + 1]
-
-
-def _compose(p, a, b):
-    """p(a x + b), by Horner's rule on RatPoly arithmetic."""
-    q = RatPoly()
-    for c in reversed(p.coeffs):
-        q = q * RatPoly((b, a)) + c
-    return q
 
 
 def _monic_jacobi_loop(n, alpha, beta, p):
@@ -69,7 +65,7 @@ def _monic_jacobi_loop(n, alpha, beta, p):
     den = pochhammer(n + alpha + beta + 1, n)
     if den == 0 or p is DomainError:
         return DomainError
-    return F(math.factorial(n)) / den * _compose(p, 2, -1)
+    return RatPoly([F(math.factorial(n)) / den * c for c in compose(p, 2, -1).coeffs])
 
 
 def _outcome(fn, *args):
@@ -328,10 +324,19 @@ def test_second_solution_shift():
     for n in range(1, 11):
         lam, mu = aj_rates(CANON, n, Variant.V)
         lam_prev = aj_rates(CANON, n - 1, Variant.V)[0]
-        w[n + 1] = (
-            RatPoly((-(lam + mu), 1)) * w[n] - lam_prev * mu * w[n - 1]
-        )
+        w[n + 1] = combine(1, -(lam + mu), w[n], -lam_prev * mu, w[n - 1])
         assert w[n + 1] == assoc_V(n, shifted)
+
+
+def test_one_cached_engine_per_triple_and_variant():
+    engine = _family(CANON, Variant.V)
+    assert _family(AJParams(F(1, 2), F(-2, 3), F(7, 12)), Variant.V) is engine
+    assert _family(CANON, Variant.CALV) is not engine
+    assert assoc_V(4, CANON) is engine.poly(4)
+    # the representations read their members from the same engines
+    atkin_via_representation(30, "Rep2")
+    for variant in Variant:
+        assert len(_family(S_SET[2], variant)._members) >= 31
 
 
 def test_representations_two_and_three():
@@ -345,19 +350,29 @@ def test_representation_one_with_derived_scalar():
     assert REP1_DEFAULT_COEFF == F(455, 3456)
     for n in range(21):
         assert atkin_via_representation(n, "Rep1") == atkin_normalized(n + 1)
+    # at n = 0 the scalar multiplies the zero member
+    for kappa in (0, F(91, 384), -7):
+        assert atkin_via_representation(0, "Rep1", rep1_coeff=kappa) == RatPoly((F(-5, 12), 1))
 
 
 def test_representation_one_printed_scalar_fails():
     # 91/384 circulates as the scalar; it already fails at n = 1
     bad = atkin_via_representation(1, "Rep1", rep1_coeff=F(91, 384))
-    assert bad != atkin_normalized(2)
+    target = atkin_normalized(2)
+    assert bad != target
     # and only the constant term is off
-    diff = bad - atkin_normalized(2)
-    assert diff.degree() == 0
+    assert bad.coeffs[1:] == target.coeffs[1:]
+    # at any scalar the representation is the schoolbook combination
+    shifted = AJParams(CANON.alpha, CANON.beta, CANON.c + 1)
+    for n in range(9):
+        for kappa in (0, F(91, 384), -7):
+            w = assoc_V(n - 1, shifted) if n else RatPoly()
+            want = combine(1, F(-5, 12), assoc_V(n, CANON), -kappa, w)
+            assert atkin_via_representation(n, "Rep1", rep1_coeff=kappa) == want
 
 
 def test_rep1_solved_scalar_is_constant():
-    for n in range(1, 7):
+    for n in range(1, 21):
         assert rep1_solved_coeff(n) == F(455, 3456)
     with pytest.raises(DomainError):
         rep1_solved_coeff(0)

@@ -21,6 +21,7 @@ from atkinpoly.atkin import (
 from atkinpoly.errors import DomainError
 from atkinpoly.exact import pochhammer
 from atkinpoly.ratpoly import RatPoly, poly_eval
+from schoolbook import combine, compose
 
 
 def test_original_tables():
@@ -45,17 +46,9 @@ def test_monic_and_degree():
         assert atkin_normalized(n).coeffs[-1] == 1
 
 
-def _compose(p, a, b):
-    """p(a x + b), by Horner's rule on RatPoly arithmetic."""
-    q = RatPoly()
-    for c in reversed(p.coeffs):
-        q = q * RatPoly((b, a)) + c
-    return q
-
-
 def test_normalized_is_rescaled_original():
     for n in range(12):
-        scaled = _compose(atkin(n), 1728, 0) * F(1, 1728**n)
+        scaled = RatPoly([c / 1728**n for c in compose(atkin(n), 1728, 0).coeffs])
         assert scaled == atkin_normalized(n)
 
 
@@ -97,10 +90,7 @@ def test_rates_generate_the_recurrence():
     for n in range(2, 16):
         lam, mu = atkin_rates(n)
         lam_prev = atkin_rates(n - 1)[0]
-        rhs = (
-            RatPoly((-(lam + mu), 1)) * atkin_normalized(n)
-            - lam_prev * mu * atkin_normalized(n - 1)
-        )
+        rhs = combine(1, -(lam + mu), atkin_normalized(n), -lam_prev * mu, atkin_normalized(n - 1))
         assert rhs == atkin_normalized(n + 1)
 
 

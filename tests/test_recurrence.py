@@ -1,13 +1,13 @@
-"""The fraction-free recurrence engine against the RatPoly-product loop
-it replaced, the Atkin family on both scales against its multiplied-out
-recurrence, and the associated families against their hand-simplified
-coefficients."""
+"""The fraction-free recurrence engine and its integer step against
+schoolbook Fraction arithmetic, the Atkin family on both scales against
+its multiplied-out recurrence, and the associated families against their
+hand-simplified coefficients."""
 
 import importlib
 import random
 import re
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -15,7 +15,8 @@ from atkinpoly.assoc_jacobi import S_SET, AJParams, Variant, aj_rates, assoc_cal
 from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq, atkin_rates
 from atkinpoly.cli import MAX_EXACT_DEGREE
 from atkinpoly.errors import DomainError
-from atkinpoly.ratpoly import MonicRecurrence, RatPoly
+from atkinpoly.ratpoly import MonicRecurrence, RatPoly, _poly_of, _recur
+from schoolbook import combine, compose
 
 # the message of a pole of a birth or death rate at an index
 _RATE_POLE = r"^(lambda|mu) denominator vanishes at index %d$"
@@ -90,32 +91,72 @@ def _first_degenerate_index(params, nmax):
 
 def _fraction_loop(seeds, shift, prod, n):
     """Members 0..n of P_{m+1} = (x - shift(m)) P_m - prod(m) P_{m-1},
-    one RatPoly product per step: the oracle for MonicRecurrence."""
+    one schoolbook step at a time: the oracle for MonicRecurrence."""
     polys = list(seeds)
     while len(polys) <= n:
         m = len(polys) - 1
-        polys.append(RatPoly((-shift(m), 1)) * polys[m] - prod(m) * polys[m - 1])
+        polys.append(combine(1, -shift(m), polys[m], -prod(m), polys[m - 1]))
     return polys
-
-
-def _compose(p, a, b):
-    """p(a x + b), by Horner's rule on RatPoly arithmetic."""
-    q = RatPoly()
-    for c in reversed(p.coeffs):
-        q = q * RatPoly((b, a)) + c
-    return q
 
 
 def test_engine_builds_monic_legendre():
     # birth and death rates of the Legendre family on [0, 2]: shift 1,
     # product m^2 / (4m^2 - 1); P_n(x + 1) is the monic Legendre polynomial
     legendre = MonicRecurrence(lambda m: (F(m + 1, 2 * m + 1), F(m, 2 * m + 1)))
-    assert _compose(legendre.poly(3), 1, 1) == RatPoly((0, F(-3, 5), 0, 1))
-    assert _compose(legendre.poly(4), 1, 1) == RatPoly((F(3, 35), 0, F(-6, 7), 0, 1))
+    assert compose(legendre.poly(3), 1, 1) == RatPoly((0, F(-3, 5), 0, 1))
+    assert compose(legendre.poly(4), 1, 1) == RatPoly((F(3, 35), 0, F(-6, 7), 0, 1))
     assert len(legendre._members) == 5  # members past the one asked for are not built
-    assert _compose(legendre.poly(2), 1, 1) == RatPoly((F(-1, 3), 0, 1))
+    assert compose(legendre.poly(2), 1, 1) == RatPoly((F(-1, 3), 0, 1))
     with pytest.raises(DomainError):
         legendre.poly(-1)
+
+
+def _random_member(rng, length):
+    """A member as the engines hold it: integer numerators with a nonzero
+    last entry over their least common denominator; length 0 is the zero
+    member."""
+    if length == 0:
+        return (), 1
+    nums = [rng.randint(-(10**6), 10**6) for _ in range(length - 1)]
+    nums.append(rng.choice((-1, 1)) * rng.randint(1, 10**6))
+    den = rng.choice((1, rng.randint(1, 1000), rng.randint(1, 10**20)))
+    g = gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
+
+
+def _as_poly(member):
+    nums, den = member
+    return RatPoly([F(c, den) for c in nums])
+
+
+def test_step_kernel_matches_the_schoolbook_step():
+    # the shapes the package steps: R one shorter than P (the recurrence),
+    # as long as P (Rep2, Rep3) or the zero member (Rep1 at n = 0); q = 0
+    # (the Rep1 diagnostic) and integer s (Rep2, Rep3) as Fractions
+    rng = random.Random(19)
+    for case in range(240):
+        length = rng.randint(1, 12)
+        p = _random_member(rng, length)
+        r = _random_member(rng, (length - 1, length, 0)[case % 3])
+        s = F(rng.randint(-50, 50), rng.choice((1, rng.randint(1, 10**9))))
+        if case % 5 == 0:
+            s = F(rng.randint(-9, 9))
+        q = F(0) if case % 4 == 0 else F(rng.randint(-50, 50), rng.randint(1, 10**9))
+        nums, den = _recur(p, s, r, q)
+        assert den > 0 and gcd(den, *nums) == 1
+        assert len(nums) == length + 1 and nums[-1] != 0
+        assert _as_poly((nums, den)) == combine(1, -s, _as_poly(p), -q, _as_poly(r))
+        assert _poly_of((nums, den)).coeffs == _as_poly((nums, den)).coeffs
+
+
+def test_member_to_poly_conversion():
+    assert _poly_of(((), 1)) == RatPoly()
+    assert _poly_of(((3, -6, 4), 4)) == RatPoly((F(3, 4), F(-3, 2), 1))
+    # a member not reduced by its gcd gives the same value
+    assert _poly_of(((6, -12, 8), 8)) == _poly_of(((3, -6, 4), 4))
+    legendre = MonicRecurrence(lambda m: (F(m + 1, 2 * m + 1), F(m, 2 * m + 1)))
+    for n in range(6):
+        assert _poly_of(legendre.member(n)) == legendre.poly(n)
 
 
 def test_members_on_request_in_any_order():
