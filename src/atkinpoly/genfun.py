@@ -17,7 +17,7 @@ from collections import namedtuple
 from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
 from .errors import DomainError
 from .exact import catalan
-from .hypergeom import c_and_d, checked_denominator, double_params, f21_profile_seq, f21_real, u_and_y_seq
+from .hypergeom import _scale_factors, c_and_d, checked_denominator, double_params, f21_profile_seq, f21_real, u_and_y_seq
 
 
 class DeltaEpsilon(namedtuple("DeltaEpsilon", "t x delta epsilon")):
@@ -36,6 +36,14 @@ def delta_eps(t: float, x: float) -> DeltaEpsilon:
     delta = 2.0 * x / ((1.0 + t) + root)
     epsilon = ((1.0 + t) + root) / (2.0 * t)
     return DeltaEpsilon(t, x, delta, epsilon)
+
+
+def _substitution(x: float, t: float) -> float:
+    """delta(t, x), which is x at t = 0; refused unless x - t*delta > 0."""
+    delta = x if t == 0.0 else delta_eps(t, x).delta
+    if x - t * delta <= 0.0:
+        raise DomainError("x - t*delta must stay positive")
+    return delta
 
 
 def _check_series(t: float, N: int):
@@ -59,24 +67,21 @@ def fjk_check(a: float, b: float, d: float, x: float, t: float, N: int):
         return v, v
     # 2F1(-n-a, n+b; d; x) is the profile at (a', b') = (b, -a)
     prof = f21_profile_seq(b, -a, d, x, N)
+    cs = _scale_factors(N, lambda n: -t * (d + a + n) * (b + n) / ((a + b + 1.0 + n) * (n + 1.0)))
     lhs = 0.0
-    coef = 1.0
-    for n in range(N + 1):
-        lhs += coef * prof[n].value
-        coef *= -t * (d + a + n) * (b + n) / ((a + b + 1.0 + n) * (n + 1.0))
-    de = delta_eps(t, x)
-    if x - t * de.delta <= 0.0:
-        raise DomainError("x - t*delta must stay positive")
+    for c, v in zip(cs, prof):
+        lhs += c * v.value
+    delta = _substitution(x, t)
     try:
-        p1, p2, den = (x - t * de.delta) ** (a + d - b), de.delta**b, x ** (a + d)
+        p1, p2, den = (x - t * delta) ** (a + d - b), delta**b, x ** (a + d)
     except OverflowError:
         raise DomainError("a power in the closed form overflows a double at x=%r" % x) from None
     rhs = (
         p1
         * p2
         / checked_denominator(den, "x=%r" % x)
-        * f21_real(-a, b, d, de.delta).value
-        * f21_real(a + d, a + 1.0, a + b + 1.0, t * de.delta / x).value
+        * f21_real(-a, b, d, delta).value
+        * f21_real(a + d, a + 1.0, a + b + 1.0, t * delta / x).value
     )
     return lhs, rhs
 
@@ -98,33 +103,30 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
         y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x).value
         return GenUYResult(u0, u0, y0, y0)
     us, ys = u_and_y_seq(params, x, N)
+    cs = _scale_factors(N, lambda n: t * (af + bf + cf + 1.0 + n) * (cf + 1.0 + n) / (
+        (af + bf + 2.0 * cf + 2.0 + n) * (n + 1.0)
+    ))
     lhs_u = lhs_y = 0.0
-    coef = 1.0
-    for n in range(N + 1):
-        lhs_u += coef * us[n].value
-        lhs_y += coef * ys[n].value
-        coef *= t * (af + bf + cf + 1.0 + n) * (cf + 1.0 + n) / (
-            (af + bf + 2.0 * cf + 2.0 + n) * (n + 1.0)
-        )
-    de = delta_eps(t, x)
-    if x - t * de.delta <= 0.0:
-        raise DomainError("x - t*delta must stay positive")
-    ratio = t * de.delta / x
+    for c, u, y in zip(cs, us, ys):
+        lhs_u += c * u.value
+        lhs_y += c * y.value
+    delta = _substitution(x, t)
+    ratio = t * delta / x
     try:
-        du, dy = de.delta ** (af + bf + cf + 1.0), de.delta ** (af + cf + 1.0)
-        xu, xy, rest = x ** (bf + cf + 1.0), x ** (cf + 1.0), (x - t * de.delta) ** af
+        du, dy = delta ** (af + bf + cf + 1.0), delta ** (af + cf + 1.0)
+        xu, xy, rest = x ** (bf + cf + 1.0), x ** (cf + 1.0), (x - t * delta) ** af
     except OverflowError:
         raise DomainError("a power in the closed form overflows a double at x=%r" % x) from None
     rhs_u = (
         du
         / checked_denominator(xu * rest, "x=%r" % x)
-        * f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, de.delta).value
+        * f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, delta).value
         * f21_real(bf + cf + 1.0, cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
     )
     rhs_y = (
         dy
         / checked_denominator(xy * rest, "x=%r" % x)
-        * f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, de.delta).value
+        * f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, delta).value
         * f21_real(cf + 1.0, bf + cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
     )
     return GenUYResult(lhs_u, rhs_u, lhs_y, rhs_y)
@@ -170,12 +172,7 @@ def catalan_gen_check(x: float, t: float, N: int):
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in (0, 1)")
     lhs = _catalan_sum(t, N, lambda m: atkin_normalized_value_seq(m, x)[1:])
-    if t == 0.0:
-        delta = x
-    else:
-        delta = delta_eps(t, x).delta
-    if x - t * delta <= 0.0:
-        raise DomainError("x - t*delta must stay positive")
+    delta = _substitution(x, t)
     cx, dx = c_and_d(x)
     bracket = (
         cx.value * f21_real(-7.0 / 12.0, 17.0 / 12.0, 1.0 / 3.0, delta).value

@@ -356,11 +356,13 @@ def _monic_steps(coeffs, x: float, nmax: int, seeds):
 
 
 def _scale_factors(nmax: int, ratio) -> list:
-    """g_0 = 1 and g_{n+1} = g_n ratio(n) for n < nmax.
+    """g_0 = 1 and g_{n+1} = g_n ratio(n) for n < nmax: the scale factors
+    of the recurrence-built families, and the coefficients of their
+    generating series.
 
-    The factors grow like 4^n and overflow a double near n = 514; the
-    first that does, or that meets a pole of the ratio, is refused
-    before any value is built.
+    The families' factors grow like 4^n and overflow a double near
+    n = 514; the first factor that does, or that meets a pole of the
+    ratio, is refused before any value is built.
     """
     gs = [1.0]
     for n in range(nmax):
@@ -415,6 +417,8 @@ def _uy_monic_seqs(af: float, bf: float, cf: float, x: float, nmax: int):
     (alpha, -beta, beta+c), whose shift and product coincide); only the
     seeds differ, so the two are stepped together.
     """
+    if cf + 1.0 == 0.0 or af + bf + cf + 1.0 == 0.0:
+        raise DomainError("the scale of the degree-one seed has a pole")
     u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x)
     u1s = f21_real(-1.0 - cf, af + bf + cf + 2.0, 1.0 + bf, x)
     u1 = -(bf + cf + 1.0) / (cf + 1.0) * u1s.value

@@ -163,12 +163,8 @@ def _level_nodes(a: float, b: float, level: int):
     """Node records (x, dist_0, dist_1728, quad_weight) that level ``level``
     adds on (a, b) within (0, 1728), for +t and -t; the step there is 0.5**level.
 
-    Cached: both pieces at every level up to the default cap fit.  The
-    records lie end to end in one array of doubles, 32 bytes a node, so
-    the cached levels add little to the memory of a process.
+    Cached: both pieces at every level up to the default cap fit.
     """
-    import array  # only quadrature needs it; the package import stays lean
-
     h = 0.5**level
     if level == 0:
         ts = [k * h for k in range(int(_TMAX / h) + 1)]
@@ -185,10 +181,10 @@ def _level_nodes(a: float, b: float, level: int):
         near = 2.0 * r * e / (1.0 + e)  # distance from the nearer endpoint
         far = 2.0 * r / (1.0 + e)
         # +t: node near b; -t: mirror near a
-        out += (b - near, far + a, near + beyond_b, wq)
+        out.append((b - near, far + a, near + beyond_b, wq))
         if t > 0.0:
-            out += (a + near, near + a, far + beyond_b, wq)
-    return array.array("d", out)
+            out.append((a + near, near + a, far + beyond_b, wq))
+    return tuple(out)
 
 
 def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int) -> float:
@@ -198,8 +194,7 @@ def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int) -> float:
     for level in range(cap + 1):
         h = 0.5**level
         part = 0.0
-        records = iter(_level_nodes(a, b, level))
-        for x, d0, d1728, wq in zip(records, records, records, records):
+        for x, d0, d1728, wq in _level_nodes(a, b, level):
             part += wq * g(x, d0, d1728)
         if level == 0:
             total = h * part

@@ -342,6 +342,17 @@ def test_parameter_poles_exit_one_without_traceback():
          "denominator parameter 0.0 is a nonpositive integer"),
         (["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--beta", "-1"],
          "denominator parameter 0.0 is a nonpositive integer"),
+        # a pole of a generating-series coefficient: past the horizon, where
+        # the closed form refuses its denominator parameter a + b + 1 (fjk)
+        # or alpha + beta + 2c + 2 (uy) at -1, and at the first coefficient
+        # (fjk at a + b + 1 = 0)
+        (["genfun", "--which", "fjk", "--alpha", "0", "--beta", "-2", "--c", "2", "--n", "1", "--t", "0.5", "--x", "0.3"],
+         "denominator parameter -1.0 is a nonpositive integer"),
+        (["genfun", "--which", "uy", "--alpha", "-3", "--beta", "0", "--c", "0", "--n", "1", "--t", "0.3", "--x", "0.3"],
+         "denominator parameter -1.0 is a nonpositive integer"),
+        (["genfun", "--which", "fjk", "--alpha", "-10/3", "--beta", "7/3", "--c", "-5/2", "--x", "0.25", "--t", "-0.9",
+          "--n", "1"],
+         "scale factor has a pole at index 1"),
     ):
         proc = _run_fresh(argv)
         assert proc.returncode == 1, argv

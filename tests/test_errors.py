@@ -4,6 +4,8 @@ other class raised anywhere in the package."""
 import ast
 import inspect
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,10 @@ from atkinpoly.assoc_jacobi import (
     ourrep_explicit,
     wimp_V_explicit,
 )
+from atkinpoly.assoc_jacobi import AJParams
 from atkinpoly.atkin import atkin_at_one, atkin_normalized_value_seq, kz_explicit
+from atkinpoly.genfun import catalan_gen_check, fjk_check, gen_uy_check
+from atkinpoly.hypergeom import f21_profile_seq, u_and_y_seq
 
 _KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
 
@@ -105,3 +110,42 @@ _BELOW_THE_DOMAIN = (
 def test_degrees_below_the_domain_are_domain_errors(fn, args, message):
     with pytest.raises(errors.DomainError, match="^%s$" % message):
         fn(*args)
+
+
+_POLE_PARAMS = tuple(Fraction(v) for v in ("0", "-1", "-2", "-3", "-1/2", "-5/2", "-10/3", "7/3"))
+
+# calls that once ended in ZeroDivisionError: poles of the generating-series
+# coefficients (used or past the horizon) and of the U/Y seed at N = 0
+_POLE_REPRODUCTIONS = (
+    (fjk_check, (0.0, -2.0, 2.0, 0.3, 0.5, 1)),
+    (gen_uy_check, (AJParams(-3, 0, 0), 0.3, 0.3, 1)),
+    (fjk_check, (float(Fraction(-10, 3)), float(Fraction(7, 3)), -2.5, 0.25, -0.9, 1)),
+    (u_and_y_seq, (AJParams(-2, Fraction(-1, 2), -1), 0.3, 0)),
+)
+
+
+def test_parameter_poles_return_or_raise_failure_kinds():
+    # the runtime complement of the raise scan above, which cannot see a
+    # division by zero: a seeded sample of parameters at poles
+    rng = random.Random(2013)
+    calls = list(_POLE_REPRODUCTIONS)
+    for _ in range(400):
+        params = AJParams(*(rng.choice(_POLE_PARAMS) for _ in range(3)))
+        a, b, d = (float(p) for p in params)
+        x, t, N = rng.choice((0.25, 0.3)), rng.choice((0.0, 0.3, -0.3, -0.9)), rng.choice((0, 1, 2, 5))
+        calls += [
+            (u_and_y_seq, (params, x, N)),
+            (f21_profile_seq, (a, b, d, x, N)),
+            (fjk_check, (a, b, d, x, t, N)),
+            (gen_uy_check, (params, x, t, N)),
+            (catalan_gen_check, (x, t, N)),
+        ]
+    escaped = []
+    for fn, args in calls:
+        try:
+            fn(*args)
+        except errors.AtkinError:
+            pass
+        except Exception as exc:  # anything else escapes the error surface
+            escaped.append((fn.__name__, args, repr(exc)))
+    assert escaped == []
