@@ -51,6 +51,9 @@ def lambda_star() -> float:
 # level tried before giving up
 _QUAD_TOLERANCE = 1e-10
 _QUAD_LEVEL_CAP = 12
+# the largest rounding floor quad_integrate's stop test forgives, relative
+# to max(1, |sum|): the accuracy it promises (selftest checks the mass at 1e-8)
+_FLOOR_CAP = 1e-8
 
 
 def _f_pair_dist(J: float, one_minus_J: float):
@@ -109,9 +112,9 @@ def wronskian_residual(J: float) -> float:
 
 
 # A tanh-sinh integral over (0, 1728) evaluates the weight at the same
-# nodes every time: eight moments and all 45 Gram entries touch 1 147
-# distinct (j, dist_right) keys, the acceptance suite 1 034.  The memo
-# holds them with room to spare and stays under 1 MB when full.
+# nodes every time: eight moments (j/1728)^k w and all 45 Gram entries
+# touch 426 distinct (j, dist_right) keys, the acceptance suite 1 034.
+# The memo holds them with room to spare and stays under 1 MB when full.
 @functools.lru_cache(maxsize=4096)
 def _w_core(j: float, dist_right: float) -> float:
     """Weight value with the distance to 1728 supplied exactly.
@@ -187,33 +190,48 @@ def _level_nodes(a: float, b: float, level: int):
     return tuple(out)
 
 
-def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int) -> float:
-    """Integrate g over (a, b) within (0, 1728); g takes (x, dist_0, dist_1728)."""
-    total = 0.0
-    prev = None
+def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int, x_only: bool) -> float:
+    """Integrate g over (a, b) within (0, 1728); g takes (x, dist_0, dist_1728).
+
+    An ``x_only`` integrand reads x alone, so it sees the distance to 1728
+    as the rounded 1728 - x, and a level sum cannot be trusted below the
+    floor h |wq g| rho summed over its nodes, rho the relative error of
+    that distance.  The stop test adds the floors of the last two levels
+    to the tolerance while they stay within _FLOOR_CAP; a larger floor
+    means an integrand too singular at 1728, and counts for nothing.  An
+    integrand that reads the exact distances has no floor.
+    """
+    total = floor = 0.0
+    prev = prev_floor = None
     for level in range(cap + 1):
         h = 0.5**level
-        part = 0.0
+        part = floor_part = 0.0
         for x, d0, d1728, wq in _level_nodes(a, b, level):
-            part += wq * g(x, d0, d1728)
-        if level == 0:
-            total = h * part
-        else:
-            total = 0.5 * total + h * part
-        if level >= 2 and abs(total - prev) <= tol * max(1.0, abs(total)):
-            return total
-        prev = total
+            v = wq * g(x, d0, d1728)
+            part += v
+            if x_only:
+                floor_part += abs(v) * abs((1728.0 - x) - d1728) / d1728
+        total = 0.5 * total + h * part
+        floor = 0.5 * floor + h * floor_part
+        if level >= 2:
+            scale = max(1.0, abs(total))
+            slack = floor + prev_floor
+            if slack > _FLOOR_CAP * scale:
+                slack = 0.0
+            if abs(total - prev) <= tol * scale + slack:
+                return total
+        prev, prev_floor = total, floor
     raise NonConvergent("tanh-sinh level cap reached on (%r, %r)" % (a, b))
 
 
 _SPLIT = 864.0
 
 
-def _integrate_sing(g) -> float:
-    """Integral over (0, 1728) of a distance-aware integrand g(x, d0, d1728)."""
+def _integrate_sing(g, x_only: bool) -> float:
+    """Integral over (0, 1728) of an integrand g(x, d0, d1728)."""
     tol, cap = _QUAD_TOLERANCE, _QUAD_LEVEL_CAP
-    left = _tanh_sinh_piece(g, 0.0, _SPLIT, tol, cap)
-    right = _tanh_sinh_piece(g, _SPLIT, 1728.0, tol, cap)
+    left = _tanh_sinh_piece(g, 0.0, _SPLIT, tol, cap, x_only)
+    right = _tanh_sinh_piece(g, _SPLIT, 1728.0, tol, cap, x_only)
     return left + right
 
 
@@ -223,9 +241,12 @@ def quad_integrate(f) -> float:
     Handles integrands with at worst the weight's own endpoint behavior,
     but f sees only the node x, not its exact distance to 1728.  Nodes
     that round onto 0 or 1728 are dropped, and near 1728 the rounding of
-    x itself costs accuracy: quad_integrate(weight_w) stops at 1095 nodes
-    with 0.9999999956, 4.4e-9 from the true mass 1 at the tolerance
-    1e-10.  gram, which hands the weight the exact distances, gets
+    x itself puts a floor under the accuracy.  Each level sum carries
+    that floor, and a piece stops when two levels agree to the tolerance
+    1e-10 plus the floors of both, as long as those floors stay within
+    1e-8 of max(1, |sum|).  quad_integrate(weight_w) stops after 141
+    calls of f with 0.99999999954, 4.6e-10 from the true mass 1.  gram,
+    which hands the weight the exact distances and so has no floor, gets
     gram(0, 0) = 1.0000000000007 from 129 nodes.
     """
 
@@ -234,7 +255,7 @@ def quad_integrate(f) -> float:
             return 0.0
         return f(x)
 
-    return _integrate_sing(g)
+    return _integrate_sing(g, True)
 
 
 def gram(m: int, n: int) -> float:
@@ -254,4 +275,4 @@ def gram(m: int, n: int) -> float:
             pn = pn * x + c
         return pm * pn * _w_core(x, d1728)
 
-    return _integrate_sing(g)
+    return _integrate_sing(g, False)
