@@ -18,7 +18,8 @@ monic Jacobi family (``monic_jacobi``).  Four parameter triples (the S
 constants below) tie these families to the normalized Atkin family,
 which is co-recursive: its rates are those of V at the second triple
 one index down, except lambda_0 = 5/12, mu_0 = 0; so each representation
-is one step (x - s) P - q Q of the engine's kernel on two members.
+is one step (x - s) P - q Q of the engine's integer kernel on two of the
+engines' RatPoly members.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .hypergeom import _pfq_int
-from .ratpoly import MonicRecurrence, RatPoly, _poly_of, _recur
+from .ratpoly import MonicRecurrence, RatPoly, _recur
 
 _F = Fraction
 
@@ -192,7 +193,7 @@ def _explicit_form(n: int, params: AJParams, sums, drop: int = 0, scale: int = 1
 
 def wimp_V_explicit(n: int, params: AJParams) -> RatPoly:
     """Explicit double-sum form of assoc_V: one terminating 4F3 per power of x."""
-    return RatPoly._from_fractions(_explicit_form(n, params, ((1, 0, 0),))[2])
+    return RatPoly(_explicit_form(n, params, ((1, 0, 0),))[2])
 
 
 def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
@@ -202,7 +203,7 @@ def im_calV_explicit(n: int, params: AJParams) -> RatPoly:
     by one, which is exactly what dropping the index-zero death rate does
     to the series.
     """
-    return RatPoly._from_fractions(_explicit_form(n, params, ((1, 1, 0),), drop=1)[2])
+    return RatPoly(_explicit_form(n, params, ((1, 1, 0),), drop=1)[2])
 
 
 REP1_DEFAULT_COEFF = _F(455, 3456)
@@ -231,14 +232,13 @@ def atkin_via_representation(n: int, which, rep1_coeff=None) -> RatPoly:
     which = Representation(which)
     if which is Representation.REP1:
         kappa = REP1_DEFAULT_COEFF if rep1_coeff is None else _F(rep1_coeff)
-        v = _family(_CANONICAL, Variant.V).member(n)
-        shifted = _family(_REP1_SHIFTED, Variant.V).member(n - 1) if n else ((), 1)
-        return _poly_of(_recur(v, _REP1_SHIFT, shifted, kappa))
+        v = _family(_CANONICAL, Variant.V).poly(n)
+        shifted = _family(_REP1_SHIFTED, Variant.V).poly(n - 1) if n else RatPoly()
+        return _recur(v, _REP1_SHIFT, shifted, kappa)
     if rep1_coeff is not None:
         raise DomainError("rep1_coeff only applies to the first representation")
     params, s, q = _REP_STEPS[which]
-    v, calv = _family(params, Variant.V).member(n), _family(params, Variant.CALV).member(n)
-    return _poly_of(_recur(v, s, calv, q))
+    return _recur(_family(params, Variant.V).poly(n), s, _family(params, Variant.CALV).poly(n), q)
 
 
 def ourrep_explicit(n: int) -> RatPoly:
@@ -255,4 +255,4 @@ def ourrep_explicit(n: int) -> RatPoly:
     pn, pd, coeffs = _explicit_form(n, _CANONICAL, ((6, 1, -1), (-1, 0, -1)), scale=5)
     # 3F2(-n, n + 2, 7/12; 19/12, 2; 1), over 12
     fn, fd = _pfq_int((-12 * n, 12 * n + 24, 7), (19, 24), 12, 1, 1)
-    return RatPoly._from_fractions([Fraction(-5 * pn * fn, 12 * pd * fd)] + coeffs)
+    return RatPoly([Fraction(-5 * pn * fn, 12 * pd * fd)] + coeffs)

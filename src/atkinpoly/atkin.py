@@ -4,8 +4,9 @@ The normalized family, on (0, 1), steps from the rates of V at
 ``S_SET[1]`` one index down (``atkin_rates(n)``, n >= 1) after the
 co-recursive start lambda_0 = 5/12, mu_0 = 0.  A_n, orthogonal on
 (0, 1728), has 1728 times those rates; ``ratpoly.MonicRecurrence``
-holds it as integer numerators over a common denominator, and
-A_n(1728 y)/1728^n is read off them (coefficient j is a_j/1728^(n-j)).
+holds it as integer numerators a_j over a common denominator d, and
+A_n(1728 y)/1728^n is read off them: the numerators a_j 1728^j over
+d 1728^n.
 The multiplied-out recurrences are the second route, in the tests.
 """
 
@@ -59,12 +60,8 @@ def atkin_normalized(n: int) -> RatPoly:
     """Monic normalized polynomial of degree n, A_n(1728 y)/1728^n."""
     p = _NORMALIZED.get(n)
     if p is None:
-        nums, den = _ORIGINAL.member(n)
-        coeffs = [None] * len(nums)
-        for j in range(n, -1, -1):
-            coeffs[j] = Fraction(nums[j], den)
-            den *= 1728
-        p = _NORMALIZED[n] = RatPoly._from_fractions(coeffs)
+        a = _ORIGINAL.poly(n)
+        p = _NORMALIZED[n] = RatPoly._reduced([c * 1728**j for j, c in enumerate(a.nums)], a.den * 1728**n)
     return p
 
 
@@ -88,8 +85,7 @@ def kz_explicit(n: int) -> RatPoly:
         bd *= 144 * (i + 1) ** 2
         g = math.gcd(bn, bd)
         bn, bd = bn // g, bd // g
-    # the last coefficient, 4F3(0, ...; 1) = 1 at i = 0, is nonzero
-    return RatPoly._from_fractions(coeffs)
+    return RatPoly(coeffs)
 
 
 def atkin_at_zero(n: int) -> Fraction:

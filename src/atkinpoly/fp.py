@@ -3,6 +3,17 @@
 from __future__ import annotations
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 1
+    return True
+
+
 class FpPoly:
     """Polynomial over F_p, coefficients ascending, trailing zeros trimmed."""
 

@@ -34,7 +34,11 @@ _PI = math.pi
 
 
 class RealValue(namedtuple("RealValue", "value abs_error_estimate")):
-    """A double plus an upper bound on its truncation error."""
+    """A double plus an estimate of its absolute error.  Those of
+    ``f21_near_one`` and of ``f21_real`` at x >= 0.5 are bounds, checked
+    against mpmath; the recurrence-built sequences (``f21_profile_seq``,
+    ``u_and_y_seq``) carry the float stepper's channel, which cancellation
+    can exceed (0.8% of values, by up to 120x)."""
 
     __slots__ = ()
 

@@ -18,19 +18,8 @@ from math import comb
 
 from .atkin import atkin
 from .errors import DomainError
-from .fp import FpPoly
+from .fp import FpPoly, _is_prime
 from .ratpoly import reduce_mod_p
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _hasse_coeffs(p: int) -> list:
@@ -74,7 +63,7 @@ def ss_poly(p: int) -> FpPoly:
 
 def atkin_mod_p(n: int, p: int) -> FpPoly:
     """Reduction of the degree-n monic polynomial modulo p."""
-    if p < 2 or not _is_prime(p):
+    if not _is_prime(p):
         raise DomainError("p must be prime, got %r" % p)
     return reduce_mod_p(atkin(n), p)
 

@@ -1,7 +1,9 @@
 """Exact polynomial layer plus the mod-p structures it reduces into."""
 
 import random
+import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -77,6 +79,84 @@ def test_reduce_mod_p():
     assert r == FpPoly(5, (3, 3, 1))
     with pytest.raises(DomainError, match="^coefficient 1/5 has denominator divisible by 5$"):
         reduce_mod_p(RatPoly((F(1, 5), 1)), 5)
+
+
+def _reduce_mod_p_reference(p, prime):
+    """One Fermat inverse per coefficient: the oracle for the single
+    inverse of the common denominator in reduce_mod_p."""
+    out = []
+    for c in p.coeffs:
+        if c.denominator % prime == 0:
+            raise DomainError("coefficient %s has denominator divisible by %d" % (c, prime))
+        out.append(c.numerator * pow(c.denominator, prime - 2, prime) % prime)
+    return FpPoly(prime, out)
+
+
+def test_reduce_mod_p_matches_the_per_coefficient_reduction():
+    rng = random.Random(25)
+    refused = 0
+    for case in range(300):
+        prime = rng.choice((2, 3, 5, 7, 13, 883, 1000003))
+        deg = rng.randint(-1, 12)
+        dens = (1, rng.randint(1, 50), rng.randint(1, 10**30))
+        if case % 3 == 0:
+            dens += (prime * rng.randint(1, 9),)
+        p = RatPoly([F(rng.randint(-(10**12), 10**12), rng.choice(dens)) for _ in range(deg + 1)])
+        try:
+            expected = _reduce_mod_p_reference(p, prime)
+        except DomainError as exc:
+            refused += 1
+            with pytest.raises(DomainError, match="^%s$" % re.escape(str(exc))):
+                reduce_mod_p(p, prime)
+        else:
+            assert reduce_mod_p(p, prime) == expected, (p, prime)
+    assert 60 <= refused <= 240
+
+
+@pytest.mark.parametrize("modulus", (0, 1, 4, -7))
+def test_reduce_mod_p_refuses_a_modulus_that_is_not_prime(modulus):
+    # Fermat's inverse needs a prime: at 4 it would send x + 1/3 to x + 1
+    with pytest.raises(DomainError, match="^p must be prime, got %s$" % re.escape(repr(modulus))):
+        reduce_mod_p(RatPoly((F(1, 3), 1)), modulus)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    given = None
+
+
+def _check_canonical_form(cs, other, k):
+    trimmed = list(cs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    p = RatPoly(cs)
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(trimmed)
+    # an unreduced integer form gives the same value, coefficients included
+    q = RatPoly._reduced([k * c for c in p.nums], k * p.den)
+    assert q == p and hash(q) == hash(p) and q.coeffs == p.coeffs
+    o = RatPoly(other)
+    assert (o == p) == (o.coeffs == p.coeffs)
+    if o == p:
+        assert hash(o) == hash(p)
+
+
+if given is None:
+
+    def test_canonical_form_of_random_coefficients():
+        pytest.skip("hypothesis is not installed")
+
+else:
+    _COEFFS = st.lists(st.one_of(st.just(F(0)), st.fractions(max_denominator=10**15)), max_size=8)
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(_COEFFS, _COEFFS, st.integers(0, 3), st.integers(1, 10**20), st.booleans())
+    def test_canonical_form_of_random_coefficients(cs, other, pad, k, same):
+        # other is cs with zeros appended, or an independent draw
+        _check_canonical_form(cs, cs + [F(0)] * pad if same else other, k)
 
 
 def test_fp_poly_basics():

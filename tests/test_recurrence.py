@@ -15,7 +15,7 @@ from atkinpoly.assoc_jacobi import S_SET, AJParams, Variant, aj_rates, assoc_cal
 from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq, atkin_rates
 from atkinpoly.cli import MAX_EXACT_DEGREE
 from atkinpoly.errors import DomainError
-from atkinpoly.ratpoly import MonicRecurrence, RatPoly, _poly_of, _recur
+from atkinpoly.ratpoly import MonicRecurrence, RatPoly, _recur
 from schoolbook import combine, compose
 
 # the message of a pole of a birth or death rate at an index
@@ -116,17 +116,16 @@ def _random_member(rng, length):
     last entry over their least common denominator; length 0 is the zero
     member."""
     if length == 0:
-        return (), 1
+        return RatPoly._reduced((), 1)
     nums = [rng.randint(-(10**6), 10**6) for _ in range(length - 1)]
     nums.append(rng.choice((-1, 1)) * rng.randint(1, 10**6))
     den = rng.choice((1, rng.randint(1, 1000), rng.randint(1, 10**20)))
     g = gcd(den, *nums)
-    return tuple(c // g for c in nums), den // g
+    return RatPoly._reduced(tuple(c // g for c in nums), den // g)
 
 
 def _as_poly(member):
-    nums, den = member
-    return RatPoly([F(c, den) for c in nums])
+    return RatPoly([F(c, member.den) for c in member.nums])
 
 
 def test_step_kernel_matches_the_schoolbook_step():
@@ -142,21 +141,23 @@ def test_step_kernel_matches_the_schoolbook_step():
         if case % 5 == 0:
             s = F(rng.randint(-9, 9))
         q = F(0) if case % 4 == 0 else F(rng.randint(-50, 50), rng.randint(1, 10**9))
-        nums, den = _recur(p, s, r, q)
+        step = _recur(p, s, r, q)
+        nums, den = step.nums, step.den
         assert den > 0 and gcd(den, *nums) == 1
         assert len(nums) == length + 1 and nums[-1] != 0
-        assert _as_poly((nums, den)) == combine(1, -s, _as_poly(p), -q, _as_poly(r))
-        assert _poly_of((nums, den)).coeffs == _as_poly((nums, den)).coeffs
+        assert _as_poly(step) == combine(1, -s, _as_poly(p), -q, _as_poly(r))
+        assert step.coeffs == _as_poly(step).coeffs
 
 
 def test_member_to_poly_conversion():
-    assert _poly_of(((), 1)) == RatPoly()
-    assert _poly_of(((3, -6, 4), 4)) == RatPoly((F(3, 4), F(-3, 2), 1))
+    assert RatPoly._reduced((), 1) == RatPoly()
+    assert RatPoly._reduced((3, -6, 4), 4) == RatPoly((F(3, 4), F(-3, 2), 1))
     # a member not reduced by its gcd gives the same value
-    assert _poly_of(((6, -12, 8), 8)) == _poly_of(((3, -6, 4), 4))
+    assert RatPoly._reduced((6, -12, 8), 8) == RatPoly._reduced((3, -6, 4), 4)
     legendre = MonicRecurrence(lambda m: (F(m + 1, 2 * m + 1), F(m, 2 * m + 1)))
     for n in range(6):
-        assert _poly_of(legendre.member(n)) == legendre.poly(n)
+        p = legendre.poly(n)
+        assert RatPoly._reduced(p.nums, p.den) == p
 
 
 def test_members_on_request_in_any_order():
@@ -190,7 +191,7 @@ def test_members_on_request_in_any_order():
             generated = max(generated, n + 1)
             assert len(engine._members) == generated
             # the integer member: numerators over the least common denominator
-            nums, den = engine.member(n)
+            nums, den = p.nums, p.den
             assert den == lcm(*(c.denominator for c in p.coeffs))
             assert [F(c, den) for c in nums] == list(p.coeffs)
 
