@@ -285,7 +285,7 @@ def _cmd_supersingular(args):
     inputs = {"pmax": args.pmax}
     results = {"records": records}
     provenance = {
-        "records": "Hasse invariant over F_p against the recurrence reduced mod p"
+        "records": "truncated Kaneko-Zagier 2F1 over F_p against the recurrence reduced mod p"
     }
     return inputs, results, provenance, 0 if ok else 2
 
@@ -366,7 +366,7 @@ def build_parser() -> _Parser:
     p = add("gram", _cmd_gram, "Gram matrix of the first Atkin polynomials")
     p.add_argument("--n", type=int, required=True, help="largest degree, at most 8")
 
-    p = add("supersingular", _cmd_supersingular, "reduction check against the Hasse invariant")
+    p = add("supersingular", _cmd_supersingular, "reduction check against the truncated Kaneko-Zagier 2F1")
     p.add_argument("--pmax", type=int, required=True)
 
     add("selftest", _cmd_selftest, "run the full acceptance suite")

@@ -1,16 +1,32 @@
-"""Small prime-field toolbox: polynomials over F_p."""
+"""Small prime-field toolbox: a primality test and polynomials over F_p."""
 
 from __future__ import annotations
 
+from .errors import DomainError
+
+# the first 13 primes: as Miller-Rabin bases they decide every n below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def _is_prime(n: int) -> bool:
+    """Trial division by _MR_BASES, then a deterministic Miller-Rabin over
+    them, exact below psi_13; an n at or above it raises DomainError rather
+    than being called probably prime."""
+    if n >= 3317044064679887385961981:
+        raise DomainError("primality is decided only below 3317044064679887385961981, got %d" % n)
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in _MR_BASES:  # decides every n below 43^2
+        if n % a == 0:
+            return n == a
+        if a * a > n:
+            return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
             return False
-        i += 1
     return True
 
 

@@ -1,6 +1,7 @@
 """Production code is what callers use: every public top-level function of
 the package is read by package code, the README or the benchmark's
-workloads, apart from a short allowlist."""
+workloads, apart from a short allowlist, and every private one by package
+code outside its own definition, so no test-only helper stays in src/."""
 
 import ast
 import pathlib
@@ -46,3 +47,20 @@ def test_every_public_function_has_a_caller():
     # the scan saw the package: the CLI entry point and the rate engine are read
     assert {"main", "atkin_rates", "ourrep_explicit"} <= defined & read
     assert defined - read == _UNCALLED
+
+
+def test_every_private_function_is_read_by_other_package_code():
+    # the names of the private top-level defs, and for each top-level
+    # statement the def it is, if any, with the names it reads
+    private, reads = set(), []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = node.name if isinstance(node, ast.FunctionDef) else None
+            if own and own.startswith("_"):
+                private.add(own)
+            if path.name != "__init__.py":
+                reads.append((own, _read_names(node)))
+    unread = {name for name in private if not any(name in read for own, read in reads if own != name)}
+    # the scan saw the package: the primality test and the step kernel are private
+    assert {"_is_prime", "_recur"} <= private
+    assert unread == set()

@@ -116,7 +116,7 @@ def test_provenance_names_the_method(capsys):
     assert code == 0
     env = json.loads(out)
     assert env["provenance"] == {
-        "records": "Hasse invariant over F_p against the recurrence reduced mod p"
+        "records": "truncated Kaneko-Zagier 2F1 over F_p against the recurrence reduced mod p"
     }
     assert env["results"] == {
         "records": [

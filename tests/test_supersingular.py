@@ -1,6 +1,6 @@
-"""Reduction check: the supersingular polynomial from the Hasse invariant
-against point counts over F_{p^2} and against the Atkin family reduced
-mod p."""
+"""Reduction check: the supersingular polynomial, Kaneko-Zagier's truncated
+2F1 in the package, against two oracles, Deuring's Hasse invariant over F_p
+and point counts over F_{p^2}, and against the Atkin family reduced mod p."""
 
 import functools
 from math import comb
@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from atkinpoly.errors import DomainError
-from atkinpoly.fp import FpPoly, fp_gcd
-from atkinpoly.supersingular import _hasse_coeffs, _is_prime, atkin_mod_p, match_report, ss_poly
+from atkinpoly.fp import FpPoly, _is_prime, fp_gcd
+from atkinpoly.supersingular import atkin_mod_p, match_report, ss_poly
 from atkinpoly.atkin import atkin
 from atkinpoly.ratpoly import reduce_mod_p
 
@@ -94,9 +94,34 @@ def _roots_in_fp2(f: FpPoly, d: int):
     return roots
 
 
-def _ss_poly_by_binomials(p):
-    """ss_poly with the substitution t = j/(1728 - j) expanded by the
-    binomial theorem: coefficient n of sum_k h_k j^k (1728 - j)^(d-k)."""
+def _hasse_coeffs(p):
+    """Hasse invariant of y^2 = x^3 + 3t x + 2t as ascending coefficients
+    in t, with its power of t (the singular curve t = 0) divided out.
+
+    By Deuring's criterion (Silverman, AEC, Thm V.4.1(b)) the curve
+    y^2 = f(x) is supersingular exactly when the coefficient of x^(p-1) in
+    f(x)^((p-1)/2) vanishes mod p.  With m = (p-1)/2, the term
+    x^(3i) (3t x)^(p-1-3i) (2t)^(2i-m) of f^m has x-degree p-1 and t-degree
+    m-i.  Every coefficient is a multinomial of numbers below p times
+    powers of 2 and 3, so none vanishes mod p; in particular the first and
+    last do not, so the substituted polynomial has no root at j = 0 or
+    j = 1728.
+    """
+    m = (p - 1) // 2
+    lo, hi = (m + 1) // 2, (p - 1) // 3
+    # i = hi gives the lowest power of t; i descends as the power rises
+    return [
+        comb(m, i) * comb(m - i, p - 1 - 3 * i) * pow(3, p - 1 - 3 * i, p) * pow(2, 2 * i - m, p) % p
+        for i in range(hi, lo - 1, -1)
+    ]
+
+
+def _ss_poly_by_hasse(p):
+    """Oracle independent of Kaneko-Zagier and of the rates: the family
+    y^2 = x^3 + 3t x + 2t has j = 1728 t / (1 + t), so its Hasse invariant
+    with t = j/(1728 - j) substituted, by the binomial theorem (coefficient
+    n of sum_k h_k j^k (1728 - j)^(d-k)), gives the supersingular
+    j-invariants other than 0 and 1728, which join by their congruences."""
     h = _hasse_coeffs(p)
     d = len(h) - 1
     coeffs = [
@@ -111,10 +136,19 @@ def _ss_poly_by_binomials(p):
     return FpPoly(p, out)
 
 
-def test_horner_substitution_matches_the_binomial_expansion():
-    for p in range(5, 1000):
-        if _is_prime(p):
-            assert ss_poly(p) == _ss_poly_by_binomials(p), p
+def test_ss_poly_is_the_hasse_invariant_substituted():
+    # below 1000 every residue mod 12 occurs, so every case of j = 0, 1728
+    primes = [p for p in range(5, 1000) if _is_prime(p)]
+    assert {p % 12 for p in primes} == {1, 5, 7, 11}
+    for p in primes:
+        assert ss_poly(p) == _ss_poly_by_hasse(p), p
+
+
+def test_ss_poly_at_a_five_digit_prime():
+    p = 10007
+    f = ss_poly(p)
+    assert f.degree() == p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
+    assert f.coeffs[-1] == 1
 
 
 def test_small_prime_tables():
