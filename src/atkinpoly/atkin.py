@@ -92,44 +92,44 @@ def atkin_at_zero(n: int) -> Fraction:
     """Exact value of the normalized degree-n polynomial at 0, n >= 1."""
     if n < 1:
         raise DomainError("closed form holds for n >= 1")
-    return _endpoint(_F(-5, 12), 11, 17, -1, n)
+    return _endpoint(_F(-5, 12), 17, -1, n)
 
 
 def atkin_at_one(n: int) -> Fraction:
     """Exact value of the normalized degree-n polynomial at 1, n >= 1."""
     if n < 1:
         raise DomainError("closed form holds for n >= 1")
-    return _endpoint(_F(7, 12), 11, 19, 1, n)
+    return _endpoint(_F(7, 12), 19, 1, n)
 
 
-def _endpoint(first: Fraction, p: int, q: int, sign: int, n: int) -> Fraction:
-    # the last entry of _endpoint_seq(first, p, q, sign, n), as one product:
+def _endpoint(first: Fraction, q: int, sign: int, n: int) -> Fraction:
+    # the last entry of _endpoint_seq(first, q, sign, n), as one product:
     # the ratios' denominators multiply to 144^(n-1) (2n-1)!
-    num = first.numerator * math.prod([sign * (p + 12 * m) * (q + 12 * m) for m in range(n - 1)])
+    num = first.numerator * math.prod([sign * (11 + 12 * m) * (q + 12 * m) for m in range(n - 1)])
     return Fraction(num, first.denominator * 144 ** (n - 1) * math.factorial(2 * n - 1))
 
 
-def _endpoint_seq(first: Fraction, p: int, q: int, sign: int, nmax: int):
-    # first * sign^m (p/12)_m (q/12)_m / (2m+1)! for m = 0..nmax-1, each
+def _endpoint_seq(first: Fraction, q: int, sign: int, nmax: int):
+    # first * sign^m (11/12)_m (q/12)_m / (2m+1)! for m = 0..nmax-1, each
     # term from the one before it by its ratio
     out = []
     v = first
     for m in range(nmax):
         out.append(v)
-        v *= _F(sign * (p + 12 * m) * (q + 12 * m), 144 * (2 * m + 2) * (2 * m + 3))
+        v *= _F(sign * (11 + 12 * m) * (q + 12 * m), 144 * (2 * m + 2) * (2 * m + 3))
     return out
 
 
 def atkin_at_zero_seq(nmax: int):
     """Values at 0 of the normalized polynomials of degrees 1..nmax, by
     term ratios in O(nmax) steps."""
-    return _endpoint_seq(_F(-5, 12), 11, 17, -1, nmax)
+    return _endpoint_seq(_F(-5, 12), 17, -1, nmax)
 
 
 def atkin_at_one_seq(nmax: int):
     """Values at 1 of the normalized polynomials of degrees 1..nmax, by
     term ratios in O(nmax) steps."""
-    return _endpoint_seq(_F(7, 12), 11, 19, 1, nmax)
+    return _endpoint_seq(_F(7, 12), 19, 1, nmax)
 
 
 def atkin_normalized_value_seq(nmax: int, x: float):

@@ -10,13 +10,11 @@ the CLI are modest.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
 from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
 from .errors import DomainError
-from .exact import catalan
 from .hypergeom import _scale_factors, c_and_d, checked_denominator, double_params, f21_profile_seq, f21_real, u_and_y_seq
 
 
@@ -98,9 +96,11 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
         raise DomainError("x must lie in (0, 1)")
     _check_series(t, N)
     af, bf, cf = double_params(params)
+    u_first = (-cf, af + bf + cf + 1.0, 1.0 + bf)
+    y_first = (-bf - cf, af + cf + 1.0, 1.0 - bf)
     if t == 0.0:
-        u0 = f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, x).value
-        y0 = f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, x).value
+        u0 = f21_real(*u_first, x).value
+        y0 = f21_real(*y_first, x).value
         return GenUYResult(u0, u0, y0, y0)
     us, ys = u_and_y_seq(params, x, N)
     cs = _scale_factors(N, lambda n: t * (af + bf + cf + 1.0 + n) * (cf + 1.0 + n) / (
@@ -112,53 +112,44 @@ def gen_uy_check(params, x: float, t: float, N: int) -> GenUYResult:
         lhs_y += c * y.value
     delta = _substitution(x, t)
     ratio = t * delta / x
+    # each closed form is delta^(first b) / (x^(second a) (x - t delta)^af)
+    # times the first 2F1 at delta and the second at t delta / x
+    c2 = af + bf + 2.0 * cf + 2.0
+    forms = ((u_first, (bf + cf + 1.0, cf + 1.0, c2)), (y_first, (cf + 1.0, bf + cf + 1.0, c2)))
     try:
-        du, dy = delta ** (af + bf + cf + 1.0), delta ** (af + cf + 1.0)
-        xu, xy, rest = x ** (bf + cf + 1.0), x ** (cf + 1.0), (x - t * delta) ** af
+        powers = [(delta ** first[1], x ** second[0]) for first, second in forms]
+        rest = (x - t * delta) ** af
     except OverflowError:
         raise DomainError("a power in the closed form overflows a double at x=%r" % x) from None
-    rhs_u = (
-        du
-        / checked_denominator(xu * rest, "x=%r" % x)
-        * f21_real(-cf, af + bf + cf + 1.0, 1.0 + bf, delta).value
-        * f21_real(bf + cf + 1.0, cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
-    )
-    rhs_y = (
-        dy
-        / checked_denominator(xy * rest, "x=%r" % x)
-        * f21_real(-bf - cf, af + cf + 1.0, 1.0 - bf, delta).value
-        * f21_real(cf + 1.0, bf + cf + 1.0, af + bf + 2.0 * cf + 2.0, ratio).value
+    rhs_u, rhs_y = (
+        d
+        / checked_denominator(xp * rest, "x=%r" % x)
+        * f21_real(*first, delta).value
+        * f21_real(*second, ratio).value
+        for (d, xp), (first, second) in zip(powers, forms)
     )
     return GenUYResult(lhs_u, rhs_u, lhs_y, rhs_y)
 
 
-@functools.cache
-def _max_catalan_horizon() -> int:
-    """Largest N for which catalan(N + 1) still converts to a double."""
-    n, cat = 0, 1  # cat = catalan(n + 1)
-    while True:
-        cat = cat * 2 * (2 * n + 3) // (n + 3)  # catalan(n + 2), by its ratio
-        try:
-            float(cat)
-        except OverflowError:
-            return n
-        n += 1
-
-
 def _catalan_sum(z: float, N: int, values) -> float:
     """sum_{n<=N} catalan(n + 1) v_n z^n with v = values(N + 1), indexed
-    from degree 1; N past a horizon is refused before v is built.  Added
-    term by term: the builtin sum compensates from Python 3.12 on."""
+    from degree 1.  The Catalan weights come first, from their running
+    ratio, each turned into a double; the first that overflows names the
+    horizon, so N past it is refused before v is built.  Added term by
+    term: the builtin sum compensates from Python 3.12 on."""
     _check_series(z, N)
-    limit = _max_catalan_horizon()  # catalan(n + 1), n <= N, goes into doubles
-    if N > limit:
-        raise DomainError(
-            "N = %d is past %d, the last horizon whose Catalan weight fits a double" % (N, limit)
-        )
-    vs = values(N + 1)
-    lhs = 0.0
+    weights, cat = [], 1  # cat = catalan(n + 1)
     for n in range(N + 1):
-        lhs += catalan(n + 1) * float(vs[n]) * z**n
+        try:
+            weights.append(float(cat))
+        except OverflowError:
+            raise DomainError(
+                "N = %d is past %d, the last horizon whose Catalan weight fits a double" % (N, n - 1)
+            ) from None
+        cat = cat * 2 * (2 * n + 3) // (n + 3)  # catalan(n + 2)
+    lhs = 0.0
+    for n, (w, v) in enumerate(zip(weights, values(N + 1))):
+        lhs += w * float(v) * z**n
     return lhs
 
 

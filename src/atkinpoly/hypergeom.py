@@ -127,7 +127,7 @@ def _gamma_ratio(p: float, q: float, r: float, s: float) -> float:
     )
 
 
-def _series_f21(a: float, b: float, c: float, x: float, tol: float):
+def _series_f21(a: float, b: float, c: float, x: float):
     """Direct Gauss series; caller guarantees |x| < 1.  At a nonpositive
     integer c the series raises ZeroDivisionError if it reaches index -c.
 
@@ -158,7 +158,7 @@ def _series_f21(a: float, b: float, c: float, x: float, tol: float):
             if 0.0 < q < 1.0:
                 tail = aterm * q / (1.0 - q)
                 scale = total if total >= 0.0 else -total
-                if tail <= tol * (scale if scale > 1.0 else 1.0):
+                if tail <= _SERIES_TOLERANCE * (scale if scale > 1.0 else 1.0):
                     return total, tail + 2.3e-16 * abssum, abssum
     raise NonConvergent("2F1 series cap reached at x=%r" % x)
 
@@ -240,7 +240,7 @@ def _connection_series(a: float, b: float, c: float, s: float):
     # c, formed apart from c - a - b, may round onto a pole that c - a - b
     # missed; the series can still end (zero numerator, underflow) before -c
     try:
-        return _series_f21(a, b, c, s, _SERIES_TOLERANCE)
+        return _series_f21(a, b, c, s)
     except ZeroDivisionError:
         raise NonConvergent(
             "series denominator parameter %r rounds to a pole of the connection formula" % c
@@ -313,7 +313,7 @@ def f21_real(a: float, b: float, c: float, x: float) -> RealValue:
     if x <= -1.0:
         raise NonConvergent("argument at or below -1 is not supported")
     if x < 0.5:
-        v, e, _ = _series_f21(a, b, c, x, _SERIES_TOLERANCE)
+        v, e, _ = _series_f21(a, b, c, x)
         return RealValue(v, e)
     return f21_near_one(a, b, c, 1.0 - x)
 

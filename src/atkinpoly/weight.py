@@ -163,10 +163,10 @@ _TMAX = 4.8
 
 @functools.lru_cache(maxsize=32)
 def _level_nodes(a: float, b: float, level: int):
-    """Node records (x, dist_0, dist_1728, quad_weight) that level ``level``
-    adds on (a, b) within (0, 1728), for +t and -t; the step there is 0.5**level.
+    """Node records (x, dist_1728, quad_weight) that level ``level`` adds
+    on (a, b) within (0, 1728), for +t and -t; the step there is 0.5**level.
 
-    Cached: both pieces at every level up to the default cap fit.
+    Cached: both pieces at every level up to _QUAD_LEVEL_CAP fit.
     """
     h = 0.5**level
     if level == 0:
@@ -184,14 +184,16 @@ def _level_nodes(a: float, b: float, level: int):
         near = 2.0 * r * e / (1.0 + e)  # distance from the nearer endpoint
         far = 2.0 * r / (1.0 + e)
         # +t: node near b; -t: mirror near a
-        out.append((b - near, far + a, near + beyond_b, wq))
+        out.append((b - near, near + beyond_b, wq))
         if t > 0.0:
-            out.append((a + near, near + a, far + beyond_b, wq))
+            out.append((a + near, far + beyond_b, wq))
     return tuple(out)
 
 
-def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int, x_only: bool) -> float:
-    """Integrate g over (a, b) within (0, 1728); g takes (x, dist_0, dist_1728).
+def _tanh_sinh_piece(g, a: float, b: float, x_only: bool) -> float:
+    """Integrate g over (a, b) within (0, 1728) to _QUAD_TOLERANCE, trying
+    levels up to _QUAD_LEVEL_CAP; g takes (x, dist_1728).  On the left
+    piece x is itself the exact distance to 0.
 
     An ``x_only`` integrand reads x alone, so it sees the distance to 1728
     as the rounded 1728 - x, and a level sum cannot be trusted below the
@@ -199,15 +201,15 @@ def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int, x_only: bool) 
     that distance.  The stop test adds the floors of the last two levels
     to the tolerance while they stay within _FLOOR_CAP; a larger floor
     means an integrand too singular at 1728, and counts for nothing.  An
-    integrand that reads the exact distances has no floor.
+    integrand that reads the exact distance has no floor.
     """
     total = floor = 0.0
     prev = prev_floor = None
-    for level in range(cap + 1):
+    for level in range(_QUAD_LEVEL_CAP + 1):
         h = 0.5**level
         part = floor_part = 0.0
-        for x, d0, d1728, wq in _level_nodes(a, b, level):
-            v = wq * g(x, d0, d1728)
+        for x, d1728, wq in _level_nodes(a, b, level):
+            v = wq * g(x, d1728)
             part += v
             if x_only:
                 floor_part += abs(v) * abs((1728.0 - x) - d1728) / d1728
@@ -218,7 +220,7 @@ def _tanh_sinh_piece(g, a: float, b: float, tol: float, cap: int, x_only: bool) 
             slack = floor + prev_floor
             if slack > _FLOOR_CAP * scale:
                 slack = 0.0
-            if abs(total - prev) <= tol * scale + slack:
+            if abs(total - prev) <= _QUAD_TOLERANCE * scale + slack:
                 return total
         prev, prev_floor = total, floor
     raise NonConvergent("tanh-sinh level cap reached on (%r, %r)" % (a, b))
@@ -228,11 +230,8 @@ _SPLIT = 864.0
 
 
 def _integrate_sing(g, x_only: bool) -> float:
-    """Integral over (0, 1728) of an integrand g(x, d0, d1728)."""
-    tol, cap = _QUAD_TOLERANCE, _QUAD_LEVEL_CAP
-    left = _tanh_sinh_piece(g, 0.0, _SPLIT, tol, cap, x_only)
-    right = _tanh_sinh_piece(g, _SPLIT, 1728.0, tol, cap, x_only)
-    return left + right
+    """Integral over (0, 1728) of an integrand g(x, d1728)."""
+    return _tanh_sinh_piece(g, 0.0, _SPLIT, x_only) + _tanh_sinh_piece(g, _SPLIT, 1728.0, x_only)
 
 
 def quad_integrate(f) -> float:
@@ -250,7 +249,7 @@ def quad_integrate(f) -> float:
     gram(0, 0) = 1.0000000000007 from 129 nodes.
     """
 
-    def g(x, d0, d1728):
+    def g(x, d1728):
         if x <= 0.0 or x >= 1728.0:
             return 0.0
         return f(x)
@@ -267,7 +266,7 @@ def gram(m: int, n: int) -> float:
     cm = [float(c) for c in reversed(atkin(m).coeffs)]
     cn = [float(c) for c in reversed(atkin(n).coeffs)]
 
-    def g(x, d0, d1728):
+    def g(x, d1728):
         pm = pn = 0.0
         for c in cm:
             pm = pm * x + c

@@ -1,7 +1,8 @@
 """Production code is what callers use: every public top-level function of
 the package is read by package code, the README or the benchmark's
 workloads, apart from a short allowlist, and every private one by package
-code outside its own definition, so no test-only helper stays in src/."""
+code outside its own definition, so no test-only helper stays in src/; and
+no private parameter gets one fixed value from every caller."""
 
 import ast
 import pathlib
@@ -64,3 +65,53 @@ def test_every_private_function_is_read_by_other_package_code():
     # the scan saw the package: the primality test and the step kernel are private
     assert {"_is_prime", "_recur"} <= private
     assert unread == set()
+
+
+def _fixed_argument(node, module_names):
+    """The key of an argument that names one value wherever it is written: a
+    numeric literal, signed or not, or a module-level name; None otherwise."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        inner = _fixed_argument(node.operand, module_names)
+        return inner and (type(node.op).__name__,) + inner
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return ("literal", node.value)
+    if isinstance(node, ast.Name) and node.id in module_names:
+        return ("name", node.id)
+    return None
+
+
+def test_no_private_parameter_gets_one_value_at_every_call_site():
+    # a parameter that every caller sets to the same literal or module
+    # constant is a constant of the function, not an input
+    params, calls = {}, {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names = {
+            target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                params[node.name] = [a.arg for a in node.args.posonlyargs + node.args.args]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append((node, module_names))
+    fixed = set()
+    for name, names in params.items():
+        for param in names:
+            keys = set()
+            for call, module_names in calls.get(name, []):
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    keys.add(None)
+                    continue
+                given = dict(zip(names, call.args))
+                given.update((k.arg, k.value) for k in call.keywords if k.arg)
+                keys.add(_fixed_argument(given[param], module_names) if param in given else None)
+            if len(keys) == 1 and None not in keys:
+                fixed.add("%s.%s" % (name, param))
+    # the scan saw the package: these kernels have several call sites each
+    assert all(len(calls[name]) >= 2 for name in ("_series_f21", "_endpoint_seq", "_tanh_sinh_piece"))
+    assert fixed == set()

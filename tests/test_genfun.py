@@ -14,7 +14,6 @@ from atkinpoly.atkin import atkin_at_one, atkin_at_zero
 from atkinpoly.errors import DomainError
 from atkinpoly.exact import catalan, pochhammer
 from atkinpoly.genfun import (
-    _max_catalan_horizon,
     catalan_gen_check,
     delta_eps,
     fjk_check,
@@ -141,7 +140,7 @@ def test_endpoint_series_one():
 
 
 def test_catalan_horizon_is_the_last_that_fits_a_double():
-    top = _max_catalan_horizon()
+    top = 518
     float(catalan(top + 1))
     with pytest.raises(OverflowError):
         float(catalan(top + 2))
@@ -171,10 +170,16 @@ def test_fjk_and_uy_stop_at_the_float_horizon():
 
 
 def test_float_horizon_is_refused_before_the_values_are_built():
-    # the scale factor alone is enough to name the horizon, so a huge N
-    # costs no more memory than the horizon itself
+    # the scale factor or the Catalan weight alone is enough to name the
+    # horizon, so a huge N costs no more memory than the horizon itself
     a, b, c = float(CANON.alpha), float(CANON.beta), float(CANON.c)
-    for check, args, horizon in ((fjk_check, (a, b, c, 0.5, 0.3), 513), (gen_uy_check, (CANON, 0.5, 0.3), 514)):
+    for check, args, horizon in (
+        (fjk_check, (a, b, c, 0.5, 0.3), 513),
+        (gen_uy_check, (CANON, 0.5, 0.3), 514),
+        (gen_at_zero, (0.3,), 518),
+        (gen_at_one, (0.3,), 518),
+        (catalan_gen_check, (0.5, 0.3), 518),
+    ):
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="N = 100000 is past %d, the last horizon" % horizon):
