@@ -48,6 +48,16 @@ class Representation(Enum):
     REP3 = "Rep3"
 
 
+def _member(kind, value):
+    """The member of the Enum ``kind`` that ``value`` names; a member passes through."""
+    try:
+        return kind(value)
+    except ValueError:
+        accepted = ", ".join(repr(m.value) for m in kind)
+        name = kind.__name__.lower()
+        raise DomainError("%s must be one of %s, got %r" % (name, accepted, value)) from None
+
+
 class AJParams(namedtuple("AJParams", "alpha beta c")):
     """Parameter triple (alpha, beta, c) of an associated family, each
     coerced to a Fraction."""
@@ -113,7 +123,7 @@ def _rates_of(params: AJParams, variant: Variant):
 
 def aj_rates(params: AJParams, n: int, variant) -> tuple:
     """Birth and death rates (lambda_n, mu_n) of the associated family."""
-    variant = Variant(variant)
+    variant = _member(Variant, variant)
     if n < 0:
         raise DomainError("index must be nonnegative")
     return _rates_of(params, variant)(n)
@@ -124,20 +134,14 @@ def _family(params: AJParams, variant: Variant) -> MonicRecurrence:
     return MonicRecurrence(_rates_of(params, variant))
 
 
-def _assoc_family(params: AJParams, variant: Variant, n: int) -> RatPoly:
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    return _family(params, variant).poly(n)
-
-
 def assoc_V(n: int, params: AJParams) -> RatPoly:
     """Monic associated polynomial V_n, index-zero death rate included."""
-    return _assoc_family(params, Variant.V, n)
+    return _family(params, Variant.V).poly(n)
 
 
 def assoc_calV(n: int, params: AJParams) -> RatPoly:
     """Monic associated polynomial with the index-zero death rate dropped."""
-    return _assoc_family(params, Variant.CALV, n)
+    return _family(params, Variant.CALV).poly(n)
 
 
 def _explicit_form(n: int, params: AJParams, sums, drop: int = 0, scale: int = 1):
@@ -229,7 +233,7 @@ def atkin_via_representation(n: int, which, rep1_coeff=None) -> RatPoly:
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    which = Representation(which)
+    which = _member(Representation, which)
     if which is Representation.REP1:
         kappa = REP1_DEFAULT_COEFF if rep1_coeff is None else _F(rep1_coeff)
         v = _family(_CANONICAL, Variant.V).poly(n)

@@ -38,10 +38,11 @@ from .hypergeom import atkin_asymptotic, double_params
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 
 # Largest --n of the exact subcommands (atkin, assoc-jacobi, rep-check,
-# explicit-check).  The slowest of them at the cap, rep-check, takes
-# 0.29-0.48 s as a fresh process on a 2-vCPU Xeon VM (every explicit-check
-# form 0.18-0.34 s); without a cap, the coefficients of A_n pass Python's
-# 4300-digit int-to-str limit by n of about 1600.
+# explicit-check), and the largest degree supersingular reduces.  The
+# slowest of them at the cap, rep-check, takes 0.29-0.48 s as a fresh
+# process on a 2-vCPU Xeon VM (every explicit-check form 0.18-0.34 s);
+# without a cap, the coefficients of A_n pass Python's 4300-digit
+# int-to-str limit by n of about 1600.
 MAX_EXACT_DEGREE = 200
 _EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
 
@@ -262,8 +263,8 @@ def _cmd_weight(args):
 
 
 def _cmd_gram(args):
-    if not 0 <= args.n <= 8:
-        raise DomainError("gram --n must lie in 0..8")
+    if not 0 <= args.n <= weight.MAX_GRAM_DEGREE:
+        raise DomainError("gram --n must lie in 0..%d" % weight.MAX_GRAM_DEGREE)
     size = args.n + 1
     matrix = [[0.0] * size for _ in range(size)]
     for m in range(size):
@@ -277,6 +278,12 @@ def _cmd_gram(args):
 
 
 def _cmd_supersingular(args):
+    # deg ss_p <= (p + 13)/12 (match_report), so every degree stays within the cap
+    if (args.pmax + 13) // 12 > MAX_EXACT_DEGREE:
+        raise DomainError(
+            "--pmax capped at %d, so that deg ss_p stays within the exact degree cap %d"
+            % (12 * MAX_EXACT_DEGREE - 2, MAX_EXACT_DEGREE)
+        )
     records = [
         {"p": rec["p"], "degree": rec["deg_ss"], "matched": rec["matched"]}
         for rec in supersingular.match_report(args.pmax)
@@ -364,7 +371,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=_finite, required=True, help="point in (0, 1728)")
 
     p = add("gram", _cmd_gram, "Gram matrix of the first Atkin polynomials")
-    p.add_argument("--n", type=int, required=True, help="largest degree, at most 8")
+    p.add_argument("--n", type=int, required=True, help="largest degree, at most %d" % weight.MAX_GRAM_DEGREE)
 
     p = add("supersingular", _cmd_supersingular, "reduction check against the truncated Kaneko-Zagier 2F1")
     p.add_argument("--pmax", type=int, required=True)

@@ -40,8 +40,6 @@ def ss_poly(p: int) -> FpPoly:
 
 def atkin_mod_p(n: int, p: int) -> FpPoly:
     """Reduction of the degree-n monic polynomial modulo p."""
-    if not _is_prime(p):
-        raise DomainError("p must be prime, got %r" % p)
     return reduce_mod_p(atkin(n), p)
 
 
@@ -50,8 +48,6 @@ def match_report(p_max: int):
     whether A_n mod p equals ss_p at n = deg ss_p.  That reduction exists:
     the denominators of A_n divide the product of m(2m - 1)(2m + 1) over
     m <= n, and n <= (p + 13)/12 keeps every factor below p."""
-    if p_max > 200:
-        raise DomainError("p_max capped at 200")
     report = []
     for p in range(5, p_max + 1):
         if not _is_prime(p):

@@ -257,11 +257,16 @@ def quad_integrate(f) -> float:
     return _integrate_sing(g, True)
 
 
+# Largest degree gram takes: the first nine polynomials, whose 45 Gram
+# entries the weight memo above is sized for
+MAX_GRAM_DEGREE = 8
+
+
 def gram(m: int, n: int) -> float:
     """Inner product of the degree-m and degree-n monic polynomials
     against the weight."""
-    if not (0 <= m <= 8 and 0 <= n <= 8):
-        raise DomainError("gram is supported for degrees up to 8")
+    if not (0 <= m <= MAX_GRAM_DEGREE and 0 <= n <= MAX_GRAM_DEGREE):
+        raise DomainError("gram is supported for degrees up to %d" % MAX_GRAM_DEGREE)
     # float coefficients, highest degree first, converted once per call
     cm = [float(c) for c in reversed(atkin(m).coeffs)]
     cn = [float(c) for c in reversed(atkin(n).coeffs)]

@@ -5,7 +5,10 @@ line with the measured detail, and enforces the stated time budget where
 one exists.
 """
 
+import json
+
 from atkinpoly import selftest
+from atkinpoly.cli import main
 
 
 def _report(capsys, result, budget=None):
@@ -53,3 +56,21 @@ def test_criterion_7_weight_and_gram(capsys):
 
 def test_criterion_8_supersingular(capsys):
     _report(capsys, selftest.criterion_8(), budget=300.0)
+
+
+def test_a_failing_criterion_reports_its_first_six_messages(capsys, monkeypatch):
+    @selftest._criterion
+    def criterion_9(check):
+        for k in range(7):
+            check(k < 0, "check %d failed" % k)
+        return "not the detail of a failure"
+
+    result = criterion_9()
+    assert (result.number, result.passed) == (9, False)
+    assert result.detail == "; ".join("check %d failed" % k for k in range(6))
+    monkeypatch.setattr(selftest, "_CRITERIA", (selftest.criterion_1, criterion_9))
+    assert main(["selftest"]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["all_passed"] is False
+    assert [(r["criterion"], r["passed"]) for r in results["criteria"]] == [(1, True), (9, False)]
+    assert results["criteria"][1]["detail"] == result.detail

@@ -33,7 +33,7 @@ _PARAMS = (("--alpha", _RATIONALS), ("--beta", _RATIONALS), ("--c", _RATIONALS))
 
 # subcommand -> (flag, values, required); the caps are 200 for the exact
 # degrees (only atkin, whose ladder is cached, runs at it), 511 for
-# asymptotic, 518 for genfun, 8 for gram and 200 for supersingular
+# asymptotic, 518 for genfun, 8 for gram and 2398 for supersingular
 _GRAMMAR = {
     "atkin": (("--n", _EXACT_DEGREES + ("200",), True), ("--scale", ("original", "normalized", "other"), False)),
     "assoc-jacobi": (("--n", _EXACT_DEGREES, True),)
@@ -64,7 +64,7 @@ _GRAMMAR = {
     + (("--tol", _TOLERANCES, False),),
     "weight": (("--x", _FLOATS, True),),
     "gram": (("--n", ("-1", "0", "3", "8", "9"), True),),
-    "supersingular": (("--pmax", ("-1", "2", "4", "5", "13", "97", "200", "201"), True),),
+    "supersingular": (("--pmax", ("-1", "2", "4", "5", "13", "97", "200", "201", "2398", "2399"), True),),
 }
 
 _EXTRA = (None,) * 9 + ("--pretty", "--bogus", "--n")

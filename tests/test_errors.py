@@ -2,9 +2,11 @@
 other class raised anywhere in the package."""
 
 import ast
+import collections
 import inspect
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,8 @@ from atkinpoly.assoc_jacobi import (
 from atkinpoly.assoc_jacobi import AJParams
 from atkinpoly.atkin import atkin_at_one, atkin_normalized_value_seq, kz_explicit
 from atkinpoly.genfun import catalan_gen_check, fjk_check, gen_uy_check
-from atkinpoly.hypergeom import f21_profile_seq, u_and_y_seq
+from atkinpoly.hypergeom import buv_combination, f21_near_one, f21_profile_seq, u_and_y_seq
+from atkinpoly.weight import wronskian_residual
 
 _KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
 
@@ -91,24 +94,41 @@ def test_package_raises_only_the_failure_kinds():
     assert _ALLOWED_ELSEWHERE <= seen
 
 
-_BELOW_THE_DOMAIN = (
-    (assoc_V, (-1, S_SET[1]), "degree must be nonnegative"),
-    (assoc_calV, (-1, S_SET[1]), "degree must be nonnegative"),
-    (wimp_V_explicit, (-1, S_SET[1]), "degree must be nonnegative"),
-    (atkin_via_representation, (-1, "Rep1"), "degree must be nonnegative"),
-    (ourrep_explicit, (-1,), "degree must be nonnegative"),
-    (aj_rates, (S_SET[1], -1, Variant.V), "index must be nonnegative"),
-    (kz_explicit, (-1,), "degree must be nonnegative"),
-    (atkin_at_one, (0,), "closed form holds for n >= 1"),
-    (atkin_normalized_value_seq, (-1, 0.5), "nmax must be nonnegative"),
+_D, _N = errors.DomainError, errors.NonConvergent
+
+# (function, arguments outside what it takes, failure kind, message)
+_OUTSIDE_THE_DOMAIN = (
+    (assoc_V, (-1, S_SET[1]), _D, "degree must be nonnegative"),
+    (assoc_calV, (-1, S_SET[1]), _D, "degree must be nonnegative"),
+    (wimp_V_explicit, (-1, S_SET[1]), _D, "degree must be nonnegative"),
+    (atkin_via_representation, (-1, "Rep1"), _D, "degree must be nonnegative"),
+    (ourrep_explicit, (-1,), _D, "degree must be nonnegative"),
+    (aj_rates, (S_SET[1], -1, Variant.V), _D, "index must be nonnegative"),
+    (kz_explicit, (-1,), _D, "degree must be nonnegative"),
+    (atkin_at_one, (0,), _D, "closed form holds for n >= 1"),
+    (atkin_normalized_value_seq, (-1, 0.5), _D, "nmax must be nonnegative"),
+    # a choice that the enum does not hold
+    (atkin_via_representation, (1, "rep1"), _D, "representation must be one of 'Rep1', 'Rep2', 'Rep3', got 'rep1'"),
+    (aj_rates, (S_SET[1], 0, "W"), _D, "variant must be one of 'V', 'calV', got 'W'"),
+    (f21_near_one, (0.5, 0.5, 1.5, -1e-3), _N, "argument beyond 1"),
+    (buv_combination, (3, 1.0), _D, "buv_combination requires x in (0, 1)"),
+    (wronskian_residual, (0.0,), _D, "wronskian_residual requires J in (0, 1)"),
 )
 
 
-@pytest.mark.parametrize(
-    "fn, args, message", _BELOW_THE_DOMAIN, ids=[fn.__name__ for fn, _, _ in _BELOW_THE_DOMAIN]
-)
-def test_degrees_below_the_domain_are_domain_errors(fn, args, message):
-    with pytest.raises(errors.DomainError, match="^%s$" % message):
+def _ids(table):
+    """The function names, a repeated one suffixed by its count (the first keeps its bare name)."""
+    seen = collections.Counter()
+    ids = []
+    for fn, *_ in table:
+        seen[fn.__name__] += 1
+        ids.append(fn.__name__ if seen[fn.__name__] == 1 else "%s-%d" % (fn.__name__, seen[fn.__name__]))
+    return ids
+
+
+@pytest.mark.parametrize("fn, args, kind, message", _OUTSIDE_THE_DOMAIN, ids=_ids(_OUTSIDE_THE_DOMAIN))
+def test_degrees_below_the_domain_are_domain_errors(fn, args, kind, message):
+    with pytest.raises(kind, match="^%s$" % re.escape(message)):
         fn(*args)
 
 

@@ -3,6 +3,7 @@
 and point counts over F_{p^2}, and against the Atkin family reduced mod p."""
 
 import functools
+import json
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from atkinpoly.errors import DomainError
 from atkinpoly.fp import FpPoly, _is_prime, fp_gcd
 from atkinpoly.supersingular import atkin_mod_p, match_report, ss_poly
 from atkinpoly.atkin import atkin
+from atkinpoly.cli import main
 from atkinpoly.ratpoly import reduce_mod_p
 
 SMALL_TABLES = {
@@ -208,11 +210,22 @@ def test_match_report_small():
 
 
 def test_match_report_up_to_the_cap():
-    report = match_report(199)
-    assert [r["p"] for r in report] == PRIMES
+    # the command line's --pmax cap: deg ss_p <= (p + 13)/12 stays within
+    # its exact degree cap of 200, reached by the largest prime, 2393
+    report = match_report(2398)
+    assert [r["p"] for r in report] == [p for p in range(5, 2399) if _is_prime(p)]
+    assert len(report) == 354
     assert all(r["matched"] is True for r in report)
+    assert report[-1] == {"p": 2393, "deg_ss": 200, "matched": True}
 
 
-def test_match_report_limit():
-    with pytest.raises(DomainError):
-        match_report(500)
+def test_match_report_limit(capsys):
+    # match_report takes any p_max; the command line bounds it by the
+    # exact degree cap, and 2399 would need degree 201
+    assert main(["supersingular", "--pmax", "2399"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("atkinpoly: error: ")
+    assert main(["supersingular", "--pmax", "2398"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["records"]) == 354
