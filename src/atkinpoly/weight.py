@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 
 from .atkin import atkin
 from .errors import DomainError, InternalInconsistency, NonConvergent
@@ -51,6 +52,9 @@ def lambda_star() -> float:
 # level tried before giving up
 _QUAD_TOLERANCE = 1e-10
 _QUAD_LEVEL_CAP = 12
+# Largest degree gram takes: the first nine polynomials, whose 45 Gram
+# entries the polynomial columns of gram are sized for
+MAX_GRAM_DEGREE = 8
 # the largest rounding floor quad_integrate's stop test forgives, relative
 # to max(1, |sum|): the accuracy it promises (selftest checks the mass at 1e-8)
 _FLOOR_CAP = 1e-8
@@ -112,9 +116,11 @@ def wronskian_residual(J: float) -> float:
 
 
 # A tanh-sinh integral over (0, 1728) evaluates the weight at the same
-# nodes every time: eight moments (j/1728)^k w and all 45 Gram entries
-# touch 426 distinct (j, dist_right) keys, the acceptance suite 1 034.
-# The memo holds them with room to spare and stays under 1 MB when full.
+# nodes every time: eight moments (j/1728)^k w touch 116 distinct
+# (j, dist_right) keys, and with all 45 Gram entries (which read it only
+# to fill the weight columns below, 383 nodes) 426; the acceptance suite
+# touches 1 034.  The memo holds them with room to spare and stays under
+# 1 MB when full.
 @functools.lru_cache(maxsize=4096)
 def _w_core(j: float, dist_right: float) -> float:
     """Weight value with the distance to 1728 supplied exactly.
@@ -159,14 +165,15 @@ def weight_w(j: float) -> float:
 # tanh-sinh quadrature
 
 _TMAX = 4.8
+# the two pieces (0, _SPLIT) and (_SPLIT, 1728) at levels 0.._QUAD_LEVEL_CAP
+_PIECE_LEVELS = 2 * (_QUAD_LEVEL_CAP + 1)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=_PIECE_LEVELS)
 def _level_nodes(a: float, b: float, level: int):
-    """Node records (x, dist_1728, quad_weight) that level ``level`` adds
-    on (a, b) within (0, 1728), for +t and -t; the step there is 0.5**level.
-
-    Cached: both pieces at every level up to _QUAD_LEVEL_CAP fit.
+    """Node columns (xs, dist_1728s, quad_weights) that level ``level``
+    adds on (a, b) within (0, 1728), for +t and -t; the step there is
+    0.5**level.
     """
     h = 0.5**level
     if level == 0:
@@ -175,7 +182,7 @@ def _level_nodes(a: float, b: float, level: int):
         ts = [k * h for k in range(1, int(_TMAX / h) + 1, 2)]
     r = 0.5 * (b - a)
     beyond_b = 1728.0 - b
-    out = []
+    xs, ds, wqs = [], [], []
     for t in ts:
         u = 0.5 * _PI * math.sinh(t)
         e = math.exp(-2.0 * u)  # u >= 0 here
@@ -184,16 +191,21 @@ def _level_nodes(a: float, b: float, level: int):
         near = 2.0 * r * e / (1.0 + e)  # distance from the nearer endpoint
         far = 2.0 * r / (1.0 + e)
         # +t: node near b; -t: mirror near a
-        out.append((b - near, near + beyond_b, wq))
+        xs.append(b - near)
+        ds.append(near + beyond_b)
+        wqs.append(wq)
         if t > 0.0:
-            out.append((a + near, far + beyond_b, wq))
-    return tuple(out)
+            xs.append(a + near)
+            ds.append(far + beyond_b)
+            wqs.append(wq)
+    return tuple(xs), tuple(ds), tuple(wqs)
 
 
-def _tanh_sinh_piece(g, a: float, b: float, x_only: bool) -> float:
-    """Integrate g over (a, b) within (0, 1728) to _QUAD_TOLERANCE, trying
-    levels up to _QUAD_LEVEL_CAP; g takes (x, dist_1728).  On the left
-    piece x is itself the exact distance to 0.
+def _tanh_sinh_piece(level_values, a: float, b: float, x_only: bool) -> float:
+    """Integrate over (a, b) within (0, 1728) to _QUAD_TOLERANCE, trying
+    levels up to _QUAD_LEVEL_CAP; level_values(a, b, level) gives the
+    integrand at the nodes of that level, in the order of _level_nodes.
+    On the left piece x is itself the exact distance to 0.
 
     An ``x_only`` integrand reads x alone, so it sees the distance to 1728
     as the rounded 1728 - x, and a level sum cannot be trusted below the
@@ -208,8 +220,10 @@ def _tanh_sinh_piece(g, a: float, b: float, x_only: bool) -> float:
     for level in range(_QUAD_LEVEL_CAP + 1):
         h = 0.5**level
         part = floor_part = 0.0
-        for x, d1728, wq in _level_nodes(a, b, level):
-            v = wq * g(x, d1728)
+        xs, ds, wqs = _level_nodes(a, b, level)
+        # a plain left-to-right sum: sum() of floats is compensated on 3.12+
+        for x, d1728, wq, y in zip(xs, ds, wqs, level_values(a, b, level)):
+            v = wq * y
             part += v
             if x_only:
                 floor_part += abs(v) * abs((1728.0 - x) - d1728) / d1728
@@ -229,9 +243,11 @@ def _tanh_sinh_piece(g, a: float, b: float, x_only: bool) -> float:
 _SPLIT = 864.0
 
 
-def _integrate_sing(g, x_only: bool) -> float:
-    """Integral over (0, 1728) of an integrand g(x, d1728)."""
-    return _tanh_sinh_piece(g, 0.0, _SPLIT, x_only) + _tanh_sinh_piece(g, _SPLIT, 1728.0, x_only)
+def _integrate_sing(level_values, x_only: bool) -> float:
+    """Integral over (0, 1728) of the integrand whose node values
+    level_values(a, b, level) gives."""
+    left = _tanh_sinh_piece(level_values, 0.0, _SPLIT, x_only)
+    return left + _tanh_sinh_piece(level_values, _SPLIT, 1728.0, x_only)
 
 
 def quad_integrate(f) -> float:
@@ -246,37 +262,54 @@ def quad_integrate(f) -> float:
     1e-8 of max(1, |sum|).  quad_integrate(weight_w) stops after 141
     calls of f with 0.99999999954, 4.6e-10 from the true mass 1.  gram,
     which hands the weight the exact distances and so has no floor, gets
-    gram(0, 0) = 1.0000000000007 from 129 nodes.
+    gram(0, 0) = 1.0000000000007 from 129 nodes, and its 45 entries read
+    383 distinct nodes between them.
     """
 
-    def g(x, d1728):
+    def g(x):
         if x <= 0.0 or x >= 1728.0:
             return 0.0
         return f(x)
 
-    return _integrate_sing(g, True)
+    def level_values(a, b, level):
+        return map(g, _level_nodes(a, b, level)[0])
+
+    return _integrate_sing(level_values, True)
 
 
-# Largest degree gram takes: the first nine polynomials, whose 45 Gram
-# entries the weight memo above is sized for
-MAX_GRAM_DEGREE = 8
+# Per-process node columns of gram, shared by all its entries: the weight
+# and the float value of each polynomial at every node of a piece and
+# level.  All 45 entries fill 11 weight and 95 polynomial columns, about
+# 130 kB.
+@functools.lru_cache(maxsize=_PIECE_LEVELS)
+def _weight_column(a: float, b: float, level: int):
+    xs, ds, _ = _level_nodes(a, b, level)
+    return tuple(map(_w_core, xs, ds))
+
+
+@functools.lru_cache(maxsize=(MAX_GRAM_DEGREE + 1) * _PIECE_LEVELS)
+def _atkin_column(k: int, a: float, b: float, level: int):
+    # float coefficients, highest degree first, by Horner at each node
+    cs = [float(c) for c in reversed(atkin(k).coeffs)]
+    out = []
+    for x in _level_nodes(a, b, level)[0]:
+        p = 0.0
+        for c in cs:
+            p = p * x + c
+        out.append(p)
+    return tuple(out)
 
 
 def gram(m: int, n: int) -> float:
     """Inner product of the degree-m and degree-n monic polynomials
     against the weight."""
-    if not (0 <= m <= MAX_GRAM_DEGREE and 0 <= n <= MAX_GRAM_DEGREE):
-        raise DomainError("gram is supported for degrees up to %d" % MAX_GRAM_DEGREE)
-    # float coefficients, highest degree first, converted once per call
-    cm = [float(c) for c in reversed(atkin(m).coeffs)]
-    cn = [float(c) for c in reversed(atkin(n).coeffs)]
+    for k in (m, n):
+        if not 0 <= k <= MAX_GRAM_DEGREE:
+            raise DomainError("gram degrees must lie in 0..%d, got %d" % (MAX_GRAM_DEGREE, k))
 
-    def g(x, d1728):
-        pm = pn = 0.0
-        for c in cm:
-            pm = pm * x + c
-        for c in cn:
-            pn = pn * x + c
-        return pm * pn * _w_core(x, d1728)
+    def level_values(a, b, level):
+        # (p_m p_n) w at each node: the order of the products is part of the value
+        pm, pn = _atkin_column(m, a, b, level), _atkin_column(n, a, b, level)
+        return map(mul, map(mul, pm, pn), _weight_column(a, b, level))
 
-    return _integrate_sing(g, False)
+    return _integrate_sing(level_values, False)

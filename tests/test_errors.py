@@ -27,7 +27,7 @@ from atkinpoly.assoc_jacobi import AJParams
 from atkinpoly.atkin import atkin_at_one, atkin_normalized_value_seq, kz_explicit
 from atkinpoly.genfun import catalan_gen_check, fjk_check, gen_uy_check
 from atkinpoly.hypergeom import buv_combination, f21_near_one, f21_profile_seq, u_and_y_seq
-from atkinpoly.weight import wronskian_residual
+from atkinpoly.weight import gram, wronskian_residual
 
 _KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
 
@@ -113,6 +113,8 @@ _OUTSIDE_THE_DOMAIN = (
     (f21_near_one, (0.5, 0.5, 1.5, -1e-3), _N, "argument beyond 1"),
     (buv_combination, (3, 1.0), _D, "buv_combination requires x in (0, 1)"),
     (wronskian_residual, (0.0,), _D, "wronskian_residual requires J in (0, 1)"),
+    (gram, (-1, 0), _D, "gram degrees must lie in 0..8, got -1"),
+    (gram, (0, 9), _D, "gram degrees must lie in 0..8, got 9"),
 )
 
 

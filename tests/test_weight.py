@@ -6,12 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+import atkinpoly.weight
 from atkinpoly.atkin import atkin_rates
 from atkinpoly.errors import DomainError, NonConvergent
 from atkinpoly.weight import (
+    _atkin_column,
+    _integrate_sing,
+    _level_nodes,
     _phi_prime,
     _tanh_sinh_piece,
     _w_core,
+    _weight_column,
     f_and_fstar,
     gram,
     lambda_star,
@@ -233,29 +238,86 @@ def test_gram_degree_limit():
 
 def test_quadrature_level_cap_raises():
     # 1/x is not integrable on (0, 864): no two levels up to the cap agree
+    def level_values(a, b, level):
+        return [1.0 / x for x in _level_nodes(a, b, level)[0]]
+
     with pytest.raises(NonConvergent):
-        _tanh_sinh_piece(lambda x, d1728: 1.0 / x, 0.0, 864.0, False)
+        _tanh_sinh_piece(level_values, 0.0, 864.0, False)
+
+
+_GRAM_CACHES = (_w_core, _level_nodes, _weight_column, _atkin_column)
+_GRAM_PAIRS = [(m, n) for m in range(9) for n in range(m, 9)]
+
+
+def _clear_gram_caches():
+    for cache in _GRAM_CACHES:
+        cache.cache_clear()
+
+
+def _reference_gram(m, n):
+    """gram(m, n) from a per-node integrand: float Horner of both
+    polynomials times the weight, evaluated afresh at every node."""
+    cm = [float(c) for c in reversed(atkinpoly.weight.atkin(m).coeffs)]
+    cn = [float(c) for c in reversed(atkinpoly.weight.atkin(n).coeffs)]
+
+    def g(x, d1728):
+        pm = pn = 0.0
+        for c in cm:
+            pm = pm * x + c
+        for c in cn:
+            pn = pn * x + c
+        return pm * pn * _w_core(x, d1728)
+
+    def level_values(a, b, level):
+        xs, ds, _ = _level_nodes(a, b, level)
+        return map(g, xs, ds)
+
+    return _integrate_sing(level_values, False)
+
+
+def test_gram_columns_match_the_per_node_integrand_bitwise():
+    for mn in _GRAM_PAIRS:
+        _clear_gram_caches()
+        assert gram(*mn).hex() == _reference_gram(*mn).hex(), mn
+    for mn in _GRAM_PAIRS:
+        assert gram(*mn).hex() == _reference_gram(*mn).hex(), mn
+
+
+def test_warm_gram_reads_only_cached_columns(monkeypatch):
+    expected = gram(3, 5)
+
+    def calls():
+        info = _w_core.cache_info()
+        return info.hits + info.misses
+
+    def no_polynomial(n):
+        raise AssertionError("atkin(%d) called by a warm gram" % n)
+
+    before = calls()
+    monkeypatch.setattr(atkinpoly.weight, "atkin", no_polynomial)
+    assert gram(3, 5) == expected
+    assert calls() == before
 
 
 def test_weight_memo_is_bounded_and_transparent():
     """Every weight-based result is bitwise the same from a cold memo
     and from a warm one."""
-    assert _w_core.cache_info().maxsize is not None
+    for cache in _GRAM_CACHES:
+        assert cache.cache_info().maxsize is not None
     points = (1e-300, 0.5, 200.0, 864.0, 1500.0, 1727.9999999999998)
-    pairs = [(m, n) for m in range(9) for n in range(m, 9)]
 
     def results():
         return (
             quad_integrate(weight_w).hex(),
-            {mn: gram(*mn).hex() for mn in pairs},
+            {mn: gram(*mn).hex() for mn in _GRAM_PAIRS},
             [weight_w(j).hex() for j in points],
         )
 
-    _w_core.cache_clear()
+    _clear_gram_caches()
     cold = results()
     assert _w_core.cache_info().currsize <= _w_core.cache_info().maxsize
     assert results() == cold
     # each Gram entry from a memo emptied just before it
-    for mn in pairs:
-        _w_core.cache_clear()
+    for mn in _GRAM_PAIRS:
+        _clear_gram_caches()
         assert gram(*mn).hex() == cold[1][mn]
