@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import assoc_jacobi as aj
 from . import genfun, supersingular, weight
 from .atkin import (
+    _three_term,
     atkin,
     atkin_normalized,
     atkin_normalized_value,
@@ -131,7 +132,7 @@ def _cmd_atkin(args):
     poly = atkin(args.n) if args.scale == "original" else atkin_normalized(args.n)
     inputs = {"n": args.n, "scale": args.scale}
     results = {"degree": args.n, "coefficients": _coeff_strings(poly)}
-    provenance = {"coefficients": "three-term recurrence"}
+    provenance = {"coefficients": "recurrence in the coefficient index from the Kaneko-Zagier 2F1 product"}
     return inputs, results, provenance, 0
 
 
@@ -166,7 +167,7 @@ def _cmd_rep_check(args):
             raise DomainError("--rep1-coeff only applies to rep1")
         inputs["rep1_coeff"] = rat_str(args.rep1_coeff)
     candidate = aj.atkin_via_representation(args.n, args.which.capitalize(), args.rep1_coeff)
-    target = atkin_normalized(args.n + 1)
+    target = _three_term(args.n + 1, normalized=True)
     return _compared(inputs, "representation", "associated-polynomial combination", candidate, target)
 
 
@@ -176,11 +177,11 @@ def _cmd_explicit_check(args):
     mechanism = "terminating hypergeometric sums"
     if args.form == "binomial":
         candidate = kz_explicit(args.n)
-        target = atkin_normalized(args.n)
+        target = _three_term(args.n, normalized=True)
         mechanism = "double binomial sum"
     elif args.form == "hypergeometric":
         candidate = aj.ourrep_explicit(args.n)
-        target = atkin_normalized(args.n + 1)
+        target = _three_term(args.n + 1, normalized=True)
     else:
         params = _params_from(args)
         inputs.update(_params_inputs(params))

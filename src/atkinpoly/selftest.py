@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import assoc_jacobi as aj
 from . import genfun, supersingular, weight
 from .atkin import (
+    _three_term,
     atkin,
     atkin_at_one,
     atkin_at_zero,
@@ -101,17 +102,20 @@ def criterion_1(check) -> str:
 @_criterion
 def criterion_2(check) -> str:
     """Exact cross-validation of all representation formulas."""
+    for n in list(range(61)) + [100, 150, 200]:
+        if atkin(n) != _three_term(n):
+            check(False, "coefficient recurrence at n=%d" % n)
     for n in range(21):
-        target = atkin_normalized(n + 1)
+        target = _three_term(n + 1, normalized=True)
         if aj.atkin_via_representation(n, "Rep2") != target:
             check(False, "Rep2 at n=%d" % n)
         if aj.atkin_via_representation(n, "Rep3") != target:
             check(False, "Rep3 at n=%d" % n)
     for n in range(21):
-        if kz_explicit(n) != atkin_normalized(n):
+        if kz_explicit(n) != _three_term(n, normalized=True):
             check(False, "double-binomial form at n=%d" % n)
     for n in range(16):
-        if aj.ourrep_explicit(n) != atkin_normalized(n + 1):
+        if aj.ourrep_explicit(n) != _three_term(n + 1, normalized=True):
             check(False, "hypergeometric representation at n=%d" % n)
     for params in aj.S_SET:
         for n in range(13):
@@ -119,7 +123,10 @@ def criterion_2(check) -> str:
                 check(False, "V explicit at %r n=%d" % (params, n))
             if aj.im_calV_explicit(n, params) != aj.assoc_calV(n, params):
                 check(False, "calV explicit at %r n=%d" % (params, n))
-    return "Rep2/Rep3 (n<=20), double-binomial (n<=20), hypergeometric (n<=15), V/calV explicit (all triples, n<=12) all exact"
+    return (
+        "coefficient recurrence equals the three-term recurrence (n<=60, 100, 150, 200), "
+        "Rep2/Rep3 (n<=20), double-binomial (n<=20), hypergeometric (n<=15), V/calV explicit (all triples, n<=12) all exact"
+    )
 
 
 def rep1_solved_coeff(n: int) -> Fraction:
@@ -133,7 +140,7 @@ def rep1_solved_coeff(n: int) -> Fraction:
         raise DomainError("the scalar only enters for n >= 1")
     canon = aj.S_SET[1]
     head = aj.atkin_via_representation(n, "Rep1", rep1_coeff=0).coeffs
-    diff = [a - b for a, b in zip(head, atkin_normalized(n + 1).coeffs)]
+    diff = [a - b for a, b in zip(head, _three_term(n + 1, normalized=True).coeffs)]
     w = aj.assoc_V(n - 1, canon._replace(c=canon.c + 1)).coeffs
     kappa = diff[n - 1]  # w is monic of degree n-1
     if diff != [kappa * c for c in w] + [0, 0]:
@@ -147,10 +154,10 @@ def rep1_solved_coeff(n: int) -> Fraction:
 def criterion_3(check) -> str:
     """First-representation diagnostic: derived scalar works, printed fails."""
     for n in range(21):
-        if aj.atkin_via_representation(n, "Rep1") != atkin_normalized(n + 1):
+        if aj.atkin_via_representation(n, "Rep1") != _three_term(n + 1, normalized=True):
             check(False, "scalar 455/3456 fails at n=%d" % n)
     bad = aj.atkin_via_representation(1, "Rep1", rep1_coeff=_F(91, 384))
-    detected = bad != atkin_normalized(2)
+    detected = bad != _three_term(2, normalized=True)
     check(detected, "printed scalar 91/384 was not detected as failing at n=1")
     solved = rep1_solved_coeff(1)
     check(

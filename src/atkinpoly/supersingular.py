@@ -16,7 +16,7 @@ congruences.  Every divisor i + 1 is at most m < p, so it is invertible
 mod p, and t_0 = 1 makes the result monic.  O(p) operations in F_p.
 """
 
-from .atkin import atkin
+from .atkin import _three_term
 from .errors import DomainError
 from .fp import FpPoly, _is_prime
 from .ratpoly import reduce_mod_p
@@ -39,8 +39,9 @@ def ss_poly(p: int) -> FpPoly:
 
 
 def atkin_mod_p(n: int, p: int) -> FpPoly:
-    """Reduction of the degree-n monic polynomial modulo p."""
-    return reduce_mod_p(atkin(n), p)
+    """Reduction of the degree-n monic polynomial modulo p, A_n from the
+    three-term recurrence (``atkin._three_term``), not from ``atkin(n)``."""
+    return reduce_mod_p(_three_term(n), p)
 
 
 def match_report(p_max: int):

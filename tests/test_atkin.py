@@ -1,6 +1,8 @@
-"""Atkin family: printed tables, recurrence structure, explicit form,
-endpoint values, pointwise evaluation, and root interlacing."""
+"""Atkin family: printed tables, the coefficient recurrence against the
+three-term recurrence, recurrence structure, explicit form, endpoint
+values, pointwise evaluation, and root interlacing."""
 
+import importlib
 import math
 from fractions import Fraction as F
 
@@ -22,6 +24,9 @@ from atkinpoly.errors import DomainError
 from atkinpoly.exact import pochhammer
 from atkinpoly.ratpoly import RatPoly, poly_eval
 from schoolbook import combine, compose
+
+# the package namespace binds the name atkin to the function
+atkin_module = importlib.import_module("atkinpoly.atkin")
 
 
 def test_original_tables():
@@ -50,6 +55,45 @@ def test_normalized_is_rescaled_original():
     for n in range(12):
         scaled = RatPoly([c / 1728**n for c in compose(atkin(n), 1728, 0).coeffs])
         assert scaled == atkin_normalized(n)
+
+
+def test_coefficient_recurrence_equals_the_three_term_recurrence():
+    for n in list(range(201)) + [400]:
+        assert atkin(n) == atkin_module._three_term(n)
+        assert atkin_normalized(n) == atkin_module._three_term(n, normalized=True)
+
+
+def test_coefficient_recurrence_at_the_first_degrees():
+    # the route itself, past the memo
+    route = atkin_module._coefficient_recurrence
+    assert route(0) == RatPoly((1,))
+    assert route(1) == RatPoly((-720, 1))
+    assert route(2) == RatPoly((269280, -1640, 1))
+
+
+def test_atkin_is_memoized_per_degree():
+    assert atkin(37) is atkin(37)
+    assert atkin_normalized(37) is atkin_normalized(37)
+
+
+def _gauss_terms(a, b, c, count):
+    """The first count terms of 2F1(a, b; c; t), by the term ratio."""
+    out = [F(1)]
+    for k in range(count - 1):
+        out.append(out[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
+    return out
+
+
+def test_normalized_polynomial_is_a_cauchy_product_of_two_gauss_series():
+    """The coefficient of x^(n-i) is [t^i] 2F1(1/12, 5/12; 1; t)
+    2F1(-n - 1/12, 7/12 - n; 1 - 2n; t), the product that the coefficient
+    recurrence is derived from; checked against the published double sum,
+    with neither recurrence involved."""
+    for n in range(41):
+        f = _gauss_terms(F(1, 12), F(5, 12), 1, n + 1)
+        g = _gauss_terms(-n - F(1, 12), F(7, 12) - n, 1 - 2 * n, n + 1)
+        h = [sum((f[i - m] * g[m] for m in range(i + 1)), F(0)) for i in range(n + 1)]
+        assert RatPoly(reversed(h)) == _kz_double_sum(n)
 
 
 def test_rates_values():
@@ -236,7 +280,8 @@ def test_roots_real_simple_interlacing():
 
 
 def test_degree_validation():
-    with pytest.raises(DomainError):
-        atkin(-1)
+    for fn in (atkin, atkin_normalized):
+        with pytest.raises(DomainError, match="^degree must be nonnegative$"):
+            fn(-1)
     with pytest.raises(DomainError):
         atkin_at_zero(0)

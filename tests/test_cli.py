@@ -1,6 +1,7 @@
 """Command-line envelope: shape, determinism, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -58,6 +59,28 @@ def test_pretty_flag_changes_layout_not_content(capsys):
     _, pretty = _run(capsys, ["atkin", "--n", "3", "--pretty"])
     assert compact != pretty
     assert json.loads(compact) == json.loads(pretty)
+
+
+def test_checks_do_not_use_the_coefficient_recurrence(capsys, monkeypatch):
+    # the checks compare against the three-term recurrence: with the
+    # coefficient route broken and its memos empty, they give the same envelopes
+    atkin_module = importlib.import_module("atkinpoly.atkin")
+    runs = [["rep-check", "--n", "7", "--which", which] for which in ("rep1", "rep2", "rep3")]
+    runs += [["explicit-check", "--n", "9", "--form", form] for form in ("binomial", "hypergeometric")]
+    runs.append(["supersingular", "--pmax", "37"])
+    before = [_run(capsys, argv) for argv in runs]
+
+    def broken(n):
+        raise AssertionError("the coefficient recurrence was called at n=%d" % n)
+
+    monkeypatch.setattr(atkin_module, "_coefficient_recurrence", broken)
+    monkeypatch.setattr(atkin_module, "_ATKIN", {})
+    monkeypatch.setattr(atkin_module, "_NORMALIZED", {})
+    with pytest.raises(AssertionError, match="coefficient recurrence was called"):
+        atkin_module.atkin(3)
+    for argv, (code, out) in zip(runs, before):
+        assert code == 0
+        assert _run(capsys, argv) == (code, out), argv
 
 
 def test_rep_check_success(capsys):
@@ -261,13 +284,14 @@ def test_console_script_installed():
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(atkinpoly.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, atkinpoly, atkinpoly.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, atkinpoly, atkinpoly.cli; print([m for m in ('numpy', 'sympy') if m in sys.modules])"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_loads_no_dataclasses_inspect_or_selftest():
@@ -444,7 +468,7 @@ def test_chebyshev_is_the_zero_association_at_alpha_plus_beta_minus_one(capsys):
 # verdict are computed must leave these envelopes byte for byte as they are
 GOLDEN_STDOUT = (
     (["atkin", "--n", "200", "--scale", "normalized"],
-     0, "c2a86ae36dfdd799efc206f9b5130de13ff584df308e88ab6b28fe00cc8a7c82"),
+     0, "ec53b10a41f14afd93f9abe871b70cce54144d25ba286d5a08d119ef10a0893c"),
     (["explicit-check", "--n", "200", "--form", "hypergeometric"],
      0, "19bc430261b8e5eca08c52a34068e4b56ebe98690a8874c3a2a61d76d12f997a"),
     (["explicit-check", "--n", "200", "--form", "binomial"],
@@ -467,7 +491,7 @@ GOLDEN_STDOUT = (
     (["assoc-jacobi", "--n", "200", "--alpha", "1/2", "--beta", "-1/2", "--c", "0", "--variant", "calV"],
      0, "76232ea8073c083c42bb09fb2451aa2fd7d83ba08598a28e8fe4a0f44dd75343"),
     (["selftest"],
-     0, "801e5fadac2150a56d6228fb19ec923316d6f7d8c9c3fc4048b19db53a19e4e4"),
+     0, "cc9fc74cd2179f51456135342fbbc6a10b57cf5c1129649a3a85f3e61a1859ae"),
     (["weight", "--x", "720"],
      0, "9cf0c1604ea2a3a5844396a2bceea4a7b0467322949c77d0dc9c0078e3c682fc"),
     (["weight", "--x", "1727.9999999999998"],
