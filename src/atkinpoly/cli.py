@@ -9,6 +9,13 @@ JSON numbers in shortest round-trip decimal (the results block carries a
 precision note whenever reals appear).  Output is deterministic: sorted
 keys, no timestamps.
 
+A flag that only some forms read applies only to those forms; any other
+form refuses it with exit 1 before computing anything.  --alpha, --beta
+and --c apply only to explicit-check assoc-v|assoc-calv and genfun
+fjk|uy (default S_SET[1] = (1/2, -2/3, 7/12)), --x only to genfun
+fjk|uy|catalan (default 0.5), and --rep1-coeff only to rep-check rep1
+(default 455/3456).
+
 Exit codes: 0 on success, 1 on usage errors and on a DomainError, 2 when
 a verification-style check fails, on a NonConvergent and on an
 InternalInconsistency (see atkinpoly.errors).
@@ -111,8 +118,27 @@ def _check_exact_degree(n: int):
         raise DomainError("--n capped at %d for exact subcommands" % MAX_EXACT_DEGREE)
 
 
-def _params_from(args) -> aj.AJParams:
-    return aj.AJParams(args.alpha, args.beta, args.c)
+def _read_by(args, flag, form, forms, default=None):
+    """The value of the optional ``flag`` (``default`` when not given) if
+    ``form`` is one of the ``forms`` that read it, else None; any other
+    form refuses the flag."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if form in forms:
+        return default if value is None else value
+    if value is not None:
+        names = forms[0] if len(forms) == 1 else "%s and %s" % (", ".join(forms[:-1]), forms[-1])
+        raise DomainError("%s only applies to %s" % (flag, names))
+    return None
+
+
+def _params_read_by(args, form, forms):
+    """AJParams of --alpha, --beta and --c, each S_SET[1]'s when not given,
+    if ``form`` is one of the ``forms`` that read them, else None."""
+    values = [
+        _read_by(args, "--" + name, form, forms, default)
+        for name, default in zip(aj.AJParams._fields, aj.S_SET[1])
+    ]
+    return aj.AJParams(*values) if form in forms else None
 
 
 def _double_params(params: aj.AJParams) -> tuple:
@@ -138,7 +164,7 @@ def _cmd_atkin(args):
 
 def _cmd_assoc_jacobi(args):
     _check_exact_degree(args.n)
-    params = _params_from(args)
+    params = aj.AJParams(args.alpha, args.beta, args.c)
     fn = aj.assoc_V if args.variant == "V" else aj.assoc_calV
     poly = fn(args.n, params)
     inputs = {"n": args.n, "variant": args.variant, **_params_inputs(params)}
@@ -162,17 +188,17 @@ def _compared(inputs, label, mechanism, candidate, target):
 def _cmd_rep_check(args):
     _check_exact_degree(args.n)
     inputs = {"n": args.n, "which": args.which}
-    if args.rep1_coeff is not None:
-        if args.which != "rep1":
-            raise DomainError("--rep1-coeff only applies to rep1")
-        inputs["rep1_coeff"] = rat_str(args.rep1_coeff)
-    candidate = aj.atkin_via_representation(args.n, args.which.capitalize(), args.rep1_coeff)
+    rep1_coeff = _read_by(args, "--rep1-coeff", args.which, ("rep1",))
+    if rep1_coeff is not None:
+        inputs["rep1_coeff"] = rat_str(rep1_coeff)
+    candidate = aj.atkin_via_representation(args.n, args.which.capitalize(), rep1_coeff)
     target = _three_term(args.n + 1, normalized=True)
     return _compared(inputs, "representation", "associated-polynomial combination", candidate, target)
 
 
 def _cmd_explicit_check(args):
     _check_exact_degree(args.n)
+    params = _params_read_by(args, args.form, ("assoc-v", "assoc-calv"))
     inputs = {"n": args.n, "form": args.form}
     mechanism = "terminating hypergeometric sums"
     if args.form == "binomial":
@@ -183,7 +209,6 @@ def _cmd_explicit_check(args):
         candidate = aj.ourrep_explicit(args.n)
         target = _three_term(args.n + 1, normalized=True)
     else:
-        params = _params_from(args)
         inputs.update(_params_inputs(params))
         if args.form == "assoc-v":
             candidate = aj.wimp_V_explicit(args.n, params)
@@ -218,18 +243,19 @@ def _cmd_asymptotic(args):
 
 
 def _cmd_genfun(args):
+    x = _read_by(args, "--x", args.which, ("fjk", "uy", "catalan"), 0.5)
+    params = _params_read_by(args, args.which, ("fjk", "uy"))
     tol = 1e-8 if args.tol is None else args.tol
     inputs = {"which": args.which, "t": args.t, "n": args.n, "tol": tol}
     provenance = {
         "partial_sum": "truncated series of recurrence-built values",
         "closed_form": "product of Gauss functions at the algebraic substitution",
     }
-    if args.which in ("uy", "fjk"):
-        params = _params_from(args)
-        inputs.update(x=args.x, **_params_inputs(params))
+    if params is not None:
+        inputs.update(x=x, **_params_inputs(params))
         doubles = _double_params(params)
     if args.which == "uy":
-        r = genfun.gen_uy_check(params, args.x, args.t, args.n)
+        r = genfun.gen_uy_check(params, x, args.t, args.n)
         residual = max(
             abs(r.u_partial_sum - r.u_closed_form),
             abs(r.y_partial_sum - r.y_closed_form),
@@ -237,11 +263,11 @@ def _cmd_genfun(args):
         results = r._asdict()
     else:
         if args.which == "fjk":
-            lhs, rhs = genfun.fjk_check(*doubles, args.x, args.t, args.n)
+            lhs, rhs = genfun.fjk_check(*doubles, x, args.t, args.n)
             provenance["partial_sum"] = "truncated hypergeometric series"
         elif args.which == "catalan":
-            inputs["x"] = args.x
-            lhs, rhs = genfun.catalan_gen_check(args.x, args.t, args.n)
+            inputs["x"] = x
+            lhs, rhs = genfun.catalan_gen_check(x, args.t, args.n)
         elif args.which == "at-zero":
             lhs, rhs = genfun.gen_at_zero(args.t, args.n)
         else:
@@ -323,10 +349,11 @@ def build_parser() -> _Parser:
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         return p
 
-    def add_params(p, required=False):
-        # --alpha, --beta and --c; when optional, the canonical triple S_SET[1]
+    def add_params(p, read_by=None):
+        # --alpha, --beta and --c: required, or optional where only the forms read_by read them
         for name, default in zip(aj.AJParams._fields, aj.S_SET[1]):
-            p.add_argument("--" + name, type=_rational, required=required, default=default)
+            help_text = read_by and "applies only to %s; default %s" % (read_by, rat_str(default))
+            p.add_argument("--" + name, type=_rational, required=read_by is None, help=help_text)
 
     p = add("atkin", _cmd_atkin, "coefficients of an Atkin polynomial")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
@@ -334,13 +361,13 @@ def build_parser() -> _Parser:
 
     p = add("assoc-jacobi", _cmd_assoc_jacobi, "coefficients of an associated polynomial")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
-    add_params(p, required=True)
+    add_params(p)
     p.add_argument("--variant", choices=("V", "calV"), default="V")
 
     p = add("rep-check", _cmd_rep_check, "compare a representation with the recurrence")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
     p.add_argument("--which", choices=("rep1", "rep2", "rep3"), required=True)
-    p.add_argument("--rep1-coeff", type=_rational, default=None)
+    p.add_argument("--rep1-coeff", type=_rational, help="applies only to rep1; default 455/3456")
 
     p = add("explicit-check", _cmd_explicit_check, "compare an explicit formula with the recurrence")
     p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
@@ -349,7 +376,7 @@ def build_parser() -> _Parser:
         choices=("binomial", "hypergeometric", "assoc-v", "assoc-calv"),
         default="binomial",
     )
-    add_params(p)
+    add_params(p, "assoc-v and assoc-calv")
 
     p = add("asymptotic", _cmd_asymptotic, "asymptotic value against the recurrence")
     p.add_argument("--n", type=int, required=True)
@@ -364,8 +391,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, required=True, help="truncation order")
     p.add_argument("--t", type=_finite, required=True)
-    p.add_argument("--x", type=_finite, default=0.5)
-    add_params(p)
+    p.add_argument("--x", type=_finite, help="applies only to fjk, uy and catalan; default 0.5")
+    add_params(p, "fjk and uy")
     p.add_argument("--tol", type=_tolerance, default=None)
 
     p = add("weight", _cmd_weight, "orthogonality weight at a point")

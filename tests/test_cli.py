@@ -4,13 +4,14 @@ import hashlib
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import atkinpoly
-from atkinpoly import weight
+from atkinpoly import cli, weight
 from atkinpoly.cli import MAX_EXACT_DEGREE, main
 
 
@@ -214,12 +215,40 @@ def test_domain_errors_exit_one(capsys):
     assert "error" in err
 
 
-def test_rep1_coeff_with_another_representation_exits_one(capsys):
-    code = main(["rep-check", "--n", "2", "--which", "rep2", "--rep1-coeff", "1/2"])
+# every (subcommand, form, flag) whose form does not read the flag
+_UNREAD_FLAGS = (
+    [(["rep-check", "--n", "2", "--which", rep], "--rep1-coeff", "1/2", "rep1") for rep in ("rep2", "rep3")]
+    + [
+        (["explicit-check", "--n", "3", "--form", form], flag, "1/7", "assoc-v and assoc-calv")
+        for form in ("binomial", "hypergeometric")
+        for flag in ("--alpha", "--beta", "--c")
+    ]
+    + [
+        (["genfun", "--which", which, "--n", "5", "--t", "0.1"], flag, "1/7", "fjk and uy")
+        for which in ("catalan", "at-zero", "at-one")
+        for flag in ("--alpha", "--beta", "--c")
+    ]
+    + [
+        (["genfun", "--which", which, "--n", "5", "--t", "0.1"], "--x", "0.3", "fjk, uy and catalan")
+        for which in ("at-zero", "at-one")
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, forms", _UNREAD_FLAGS, ids=[" ".join(argv + [flag]) for argv, flag, *_ in _UNREAD_FLAGS]
+)
+def test_rep1_coeff_with_another_representation_exits_one(capsys, monkeypatch, argv, flag, value, forms):
+    # a flag the form does not read is refused, not dropped, and before
+    # any polynomial or series of the form is computed
+    for target, name in ((cli, "kz_explicit"), (cli, "_three_term"), (cli, "genfun"),
+                         (cli.aj, "ourrep_explicit"), (cli.aj, "atkin_via_representation")):
+        monkeypatch.setattr(target, name, None)
+    code = main(argv + [flag, value])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "atkinpoly: error: --rep1-coeff only applies to rep1\n"
+    assert captured.err == "atkinpoly: error: %s only applies to %s\n" % (flag, forms)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -279,6 +308,17 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["results"]["coefficients"] == ["-720", "1"]
+
+
+def test_readme_examples_run_as_documented(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        examples = [line.split("$ atkinpoly ", 1)[1] for line in handle if line.lstrip().startswith("$ atkinpoly ")]
+    assert examples
+    for example in examples:
+        command, _, comment = example.partition("#")
+        code, _ = _run(capsys, shlex.split(command))
+        assert code == (2 if comment.strip() == "exits 2" else 0), example
 
 
 def test_import_does_not_load_numpy():

@@ -1,7 +1,8 @@
 """The command line's failure contract, over a grammar of argv for every
 subcommand but ``selftest``: nothing but SystemExit leaves ``cli.main``,
 the exit code is 0, 1 or 2, stdout is one strict JSON envelope or empty,
-and without an envelope the last line of stderr names the failure.
+an envelope's inputs name every flag of its argv but --pretty, and
+without an envelope the last line of stderr names the failure.
 
 The grammar draws poles, signed zeros, a subnormal, 1e300, the caps and
 one past them, malformed values, missing required flags and both
@@ -32,8 +33,9 @@ _TOLERANCES = ("0", "-0", "1e-8", "0.05", "1", "-1", "1e300")
 _PARAMS = (("--alpha", _RATIONALS), ("--beta", _RATIONALS), ("--c", _RATIONALS))
 
 # subcommand -> (flag, values, required); the caps are 200 for the exact
-# degrees (only atkin, whose ladder is cached, runs at it), 511 for
-# asymptotic, 518 for genfun, 8 for gram and 2398 for supersingular
+# degrees (only atkin, one O(n) coefficient recurrence per degree, runs
+# at it), 511 for asymptotic, 518 for genfun, 8 for gram and 2398 for
+# supersingular
 _GRAMMAR = {
     "atkin": (("--n", _EXACT_DEGREES + ("200",), True), ("--scale", ("original", "normalized", "other"), False)),
     "assoc-jacobi": (("--n", _EXACT_DEGREES, True),)
@@ -102,6 +104,9 @@ def _check_contract(argv):
     if out.getvalue():
         envelope = json.loads(out.getvalue(), parse_constant=_refuse_constant)
         assert set(envelope) == {"command", "inputs", "results", "provenance"}, argv
+        # every flag given was read: a form refuses the flags it does not read
+        flags = {token[2:].split("=")[0].replace("-", "_") for token in argv if token.startswith("--")}
+        assert flags - {"pretty"} <= set(envelope["inputs"]), argv
     else:
         assert code != 0, argv
         lines = err.getvalue().splitlines()
