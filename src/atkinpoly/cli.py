@@ -10,11 +10,15 @@ precision note whenever reals appear).  Output is deterministic: sorted
 keys, no timestamps.
 
 A flag that only some forms read applies only to those forms; any other
-form refuses it with exit 1 before computing anything.  --alpha, --beta
-and --c apply only to explicit-check assoc-v|assoc-calv and genfun
-fjk|uy (default S_SET[1] = (1/2, -2/3, 7/12)), --x only to genfun
-fjk|uy|catalan (default 0.5), and --rep1-coeff only to rep-check rep1
-(default 455/3456).
+form refuses it with exit 1.  --alpha, --beta and --c apply only to
+explicit-check assoc-v|assoc-calv and genfun fjk|uy (default S_SET[1] =
+(1/2, -2/3, 7/12)), --x only to genfun fjk|uy|catalan (default 0.5), and
+--rep1-coeff only to rep-check rep1 (default 455/3456).
+
+inputs holds every flag the form reads, given or defaulted (--rep1-coeff
+only when given), and nothing else.  Checks run in the order cap, then
+unread flag, then unprintable input, then computation: main makes the
+first three before any handler runs.
 
 Exit codes: 0 on success, 1 on usage errors and on a DomainError, 2 when
 a verification-style check fails, on a NonConvergent and on an
@@ -52,7 +56,6 @@ _PRECISION = "ieee-754 double, shortest round-trip decimal"
 # without a cap, the coefficients of A_n pass Python's 4300-digit
 # int-to-str limit by n of about 1600.
 MAX_EXACT_DEGREE = 200
-_EXACT_DEGREE_HELP = "degree, at most %d" % MAX_EXACT_DEGREE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,6 +102,15 @@ def _coeff_strings(poly) -> list:
     return [rat_str(c) for c in poly.coeffs]
 
 
+def _echo(value):
+    """A flag's value as the envelope shows it: a rational as rat_str."""
+    return rat_str(value) if isinstance(value, Fraction) else value
+
+
+def _names(forms) -> str:
+    return forms[0] if len(forms) == 1 else "%s and %s" % (", ".join(forms[:-1]), forms[-1])
+
+
 def _emit(command, inputs, results, provenance, pretty: bool):
     envelope = {
         "command": command,
@@ -113,67 +125,34 @@ def _emit(command, inputs, results, provenance, pretty: bool):
     print(text)
 
 
-def _check_exact_degree(n: int):
-    if n > MAX_EXACT_DEGREE:
-        raise DomainError("--n capped at %d for exact subcommands" % MAX_EXACT_DEGREE)
+def _params(args) -> aj.AJParams:
+    return aj.AJParams(args.alpha, args.beta, args.c)
 
 
-def _read_by(args, flag, form, forms, default=None):
-    """The value of the optional ``flag`` (``default`` when not given) if
-    ``form`` is one of the ``forms`` that read it, else None; any other
-    form refuses the flag."""
-    value = getattr(args, flag[2:].replace("-", "_"))
-    if form in forms:
-        return default if value is None else value
-    if value is not None:
-        names = forms[0] if len(forms) == 1 else "%s and %s" % (", ".join(forms[:-1]), forms[-1])
-        raise DomainError("%s only applies to %s" % (flag, names))
-    return None
-
-
-def _params_read_by(args, form, forms):
-    """AJParams of --alpha, --beta and --c, each S_SET[1]'s when not given,
-    if ``form`` is one of the ``forms`` that read them, else None."""
-    values = [
-        _read_by(args, "--" + name, form, forms, default)
-        for name, default in zip(aj.AJParams._fields, aj.S_SET[1])
-    ]
-    return aj.AJParams(*values) if form in forms else None
-
-
-def _double_params(params: aj.AJParams) -> tuple:
+def _double_params(args) -> tuple:
     """(alpha, beta, c) as doubles, refused in the words of the flags."""
     try:
-        return double_params(params)
+        return double_params(_params(args))
     except DomainError:
         raise DomainError("--alpha, --beta and --c must lie in the range of a double") from None
 
 
-def _params_inputs(params: aj.AJParams) -> dict:
-    return {"alpha": rat_str(params.alpha), "beta": rat_str(params.beta), "c": rat_str(params.c)}
-
-
 def _cmd_atkin(args):
-    _check_exact_degree(args.n)
     poly = atkin(args.n) if args.scale == "original" else atkin_normalized(args.n)
-    inputs = {"n": args.n, "scale": args.scale}
     results = {"degree": args.n, "coefficients": _coeff_strings(poly)}
     provenance = {"coefficients": "recurrence in the coefficient index from the Kaneko-Zagier 2F1 product"}
-    return inputs, results, provenance, 0
+    return results, provenance, 0
 
 
 def _cmd_assoc_jacobi(args):
-    _check_exact_degree(args.n)
-    params = aj.AJParams(args.alpha, args.beta, args.c)
     fn = aj.assoc_V if args.variant == "V" else aj.assoc_calV
-    poly = fn(args.n, params)
-    inputs = {"n": args.n, "variant": args.variant, **_params_inputs(params)}
+    poly = fn(args.n, _params(args))
     results = {"degree": args.n, "coefficients": _coeff_strings(poly)}
     provenance = {"coefficients": "three-term recurrence with shifted index"}
-    return inputs, results, provenance, 0
+    return results, provenance, 0
 
 
-def _compared(inputs, label, mechanism, candidate, target):
+def _compared(label, mechanism, candidate, target):
     """Handler result of a check of ``candidate``, made by ``mechanism``, against ``target``."""
     matched = candidate == target
     results = {
@@ -182,24 +161,16 @@ def _compared(inputs, label, mechanism, candidate, target):
         "recurrence": _coeff_strings(target),
     }
     provenance = {label: mechanism, "recurrence": "three-term recurrence"}
-    return inputs, results, provenance, 0 if matched else 2
+    return results, provenance, 0 if matched else 2
 
 
 def _cmd_rep_check(args):
-    _check_exact_degree(args.n)
-    inputs = {"n": args.n, "which": args.which}
-    rep1_coeff = _read_by(args, "--rep1-coeff", args.which, ("rep1",))
-    if rep1_coeff is not None:
-        inputs["rep1_coeff"] = rat_str(rep1_coeff)
-    candidate = aj.atkin_via_representation(args.n, args.which.capitalize(), rep1_coeff)
+    candidate = aj.atkin_via_representation(args.n, args.which.capitalize(), args.rep1_coeff)
     target = _three_term(args.n + 1, normalized=True)
-    return _compared(inputs, "representation", "associated-polynomial combination", candidate, target)
+    return _compared("representation", "associated-polynomial combination", candidate, target)
 
 
 def _cmd_explicit_check(args):
-    _check_exact_degree(args.n)
-    params = _params_read_by(args, args.form, ("assoc-v", "assoc-calv"))
-    inputs = {"n": args.n, "form": args.form}
     mechanism = "terminating hypergeometric sums"
     if args.form == "binomial":
         candidate = kz_explicit(args.n)
@@ -209,26 +180,20 @@ def _cmd_explicit_check(args):
         candidate = aj.ourrep_explicit(args.n)
         target = _three_term(args.n + 1, normalized=True)
     else:
-        inputs.update(_params_inputs(params))
+        params = _params(args)
         if args.form == "assoc-v":
             candidate = aj.wimp_V_explicit(args.n, params)
             target = aj.assoc_V(args.n, params)
         else:
             candidate = aj.im_calV_explicit(args.n, params)
             target = aj.assoc_calV(args.n, params)
-    return _compared(inputs, "explicit", mechanism, candidate, target)
+    return _compared("explicit", mechanism, candidate, target)
 
 
 def _cmd_asymptotic(args):
     approx = atkin_asymptotic(args.n, args.theta)
     exact = atkin_normalized_value(args.n + 1, math.sin(args.theta) ** 2)
     rel = abs(approx - exact) / abs(exact)
-    inputs = {"n": args.n, "theta": args.theta}
-    code = 0
-    if args.tol is not None:
-        inputs["tol"] = args.tol
-        if rel > args.tol:
-            code = 2
     results = {
         "approximation": approx,
         "recurrence_value": exact,
@@ -239,23 +204,17 @@ def _cmd_asymptotic(args):
         "approximation": "cosine asymptotic with hypergeometric amplitudes",
         "recurrence_value": "three-term recurrence evaluated pointwise",
     }
-    return inputs, results, provenance, code
+    return results, provenance, 2 if args.tol is not None and rel > args.tol else 0
 
 
 def _cmd_genfun(args):
-    x = _read_by(args, "--x", args.which, ("fjk", "uy", "catalan"), 0.5)
-    params = _params_read_by(args, args.which, ("fjk", "uy"))
-    tol = 1e-8 if args.tol is None else args.tol
-    inputs = {"which": args.which, "t": args.t, "n": args.n, "tol": tol}
     provenance = {
         "partial_sum": "truncated series of recurrence-built values",
         "closed_form": "product of Gauss functions at the algebraic substitution",
     }
-    if params is not None:
-        inputs.update(x=x, **_params_inputs(params))
-        doubles = _double_params(params)
     if args.which == "uy":
-        r = genfun.gen_uy_check(params, x, args.t, args.n)
+        _double_params(args)  # refused in the words of the flags before gen_uy_check sees them
+        r = genfun.gen_uy_check(_params(args), args.x, args.t, args.n)
         residual = max(
             abs(r.u_partial_sum - r.u_closed_form),
             abs(r.y_partial_sum - r.y_closed_form),
@@ -263,11 +222,10 @@ def _cmd_genfun(args):
         results = r._asdict()
     else:
         if args.which == "fjk":
-            lhs, rhs = genfun.fjk_check(*doubles, x, args.t, args.n)
+            lhs, rhs = genfun.fjk_check(*_double_params(args), args.x, args.t, args.n)
             provenance["partial_sum"] = "truncated hypergeometric series"
         elif args.which == "catalan":
-            inputs["x"] = x
-            lhs, rhs = genfun.catalan_gen_check(x, args.t, args.n)
+            lhs, rhs = genfun.catalan_gen_check(args.x, args.t, args.n)
         elif args.which == "at-zero":
             lhs, rhs = genfun.gen_at_zero(args.t, args.n)
         else:
@@ -276,17 +234,16 @@ def _cmd_genfun(args):
         results = {"partial_sum": lhs, "closed_form": rhs}
     results["residual"] = residual
     results["precision"] = _PRECISION
-    return inputs, results, provenance, 0 if residual <= tol else 2
+    return results, provenance, 0 if residual <= args.tol else 2
 
 
 def _cmd_weight(args):
     value = weight.weight_w(args.x)
-    inputs = {"x": args.x}
     results = {"w": value, "precision": _PRECISION}
     provenance = {
         "w": "explicit modulus form cross-checked against the angle derivative"
     }
-    return inputs, results, provenance, 0
+    return results, provenance, 0
 
 
 def _cmd_gram(args):
@@ -298,10 +255,9 @@ def _cmd_gram(args):
         for k in range(m, size):
             # the integrand's product p_m p_k commutes, so gram(k, m) is this same double
             matrix[m][k] = matrix[k][m] = weight.gram(m, k)
-    inputs = {"n": args.n}
     results = {"matrix": matrix, "precision": _PRECISION}
     provenance = {"matrix": "tanh-sinh quadrature against the weight, split at 864"}
-    return inputs, results, provenance, 0
+    return results, provenance, 0
 
 
 def _cmd_supersingular(args):
@@ -316,12 +272,11 @@ def _cmd_supersingular(args):
         for rec in supersingular.match_report(args.pmax)
     ]
     ok = all(rec["matched"] for rec in records)
-    inputs = {"pmax": args.pmax}
     results = {"records": records}
     provenance = {
         "records": "truncated Kaneko-Zagier 2F1 over F_p against the recurrence reduced mod p"
     }
-    return inputs, results, provenance, 0 if ok else 2
+    return results, provenance, 0 if ok else 2
 
 
 def _cmd_selftest(args):
@@ -333,50 +288,59 @@ def _cmd_selftest(args):
         for r in outcomes
     ]
     ok = all(r.passed for r in outcomes)
-    inputs = {}
     results = {"criteria": records, "all_passed": ok}
     provenance = {"criteria": "full acceptance suite"}
-    return inputs, results, provenance, 0 if ok else 2
+    return results, provenance, 0 if ok else 2
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="atkinpoly", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, exact_degree=False):
+        # handler, exact_degree and read_by are bookkeeping that main takes
+        # out of the namespace before it echoes the flags
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, exact_degree=exact_degree, read_by=[])
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        if exact_degree:
+            p.add_argument("--n", type=int, required=True, help="degree, at most %d" % MAX_EXACT_DEGREE)
         return p
 
-    def add_params(p, read_by=None):
-        # --alpha, --beta and --c: required, or optional where only the forms read_by read them
-        for name, default in zip(aj.AJParams._fields, aj.S_SET[1]):
-            help_text = read_by and "applies only to %s; default %s" % (read_by, rat_str(default))
-            p.add_argument("--" + name, type=_rational, required=read_by is None, help=help_text)
+    def read_by(p, flag, selector, forms, default, type=_rational, shown=None):
+        # an optional flag that only the forms of --selector read, and its
+        # value there when not given; None leaves the default, shown, to
+        # the library
+        shown = default if shown is None else shown
+        p.add_argument(flag, type=type, help="applies only to %s; default %s" % (_names(forms), _echo(shown)))
+        p.get_default("read_by").append((flag, selector, forms, default))
 
-    p = add("atkin", _cmd_atkin, "coefficients of an Atkin polynomial")
-    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
+    def add_params(p, selector=None, forms=None):
+        # --alpha, --beta and --c: required, or read only by the forms of --selector
+        for name, default in zip(aj.AJParams._fields, aj.S_SET[1]):
+            if forms is None:
+                p.add_argument("--" + name, type=_rational, required=True)
+            else:
+                read_by(p, "--" + name, selector, forms, default)
+
+    p = add("atkin", _cmd_atkin, "coefficients of an Atkin polynomial", exact_degree=True)
     p.add_argument("--scale", choices=("original", "normalized"), default="original")
 
-    p = add("assoc-jacobi", _cmd_assoc_jacobi, "coefficients of an associated polynomial")
-    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
+    p = add("assoc-jacobi", _cmd_assoc_jacobi, "coefficients of an associated polynomial", exact_degree=True)
     add_params(p)
     p.add_argument("--variant", choices=("V", "calV"), default="V")
 
-    p = add("rep-check", _cmd_rep_check, "compare a representation with the recurrence")
-    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
+    p = add("rep-check", _cmd_rep_check, "compare a representation with the recurrence", exact_degree=True)
     p.add_argument("--which", choices=("rep1", "rep2", "rep3"), required=True)
-    p.add_argument("--rep1-coeff", type=_rational, help="applies only to rep1; default 455/3456")
+    read_by(p, "--rep1-coeff", "which", ("rep1",), None, shown=aj.REP1_DEFAULT_COEFF)
 
-    p = add("explicit-check", _cmd_explicit_check, "compare an explicit formula with the recurrence")
-    p.add_argument("--n", type=int, required=True, help=_EXACT_DEGREE_HELP)
+    p = add("explicit-check", _cmd_explicit_check, "compare an explicit formula with the recurrence", exact_degree=True)
     p.add_argument(
         "--form",
         choices=("binomial", "hypergeometric", "assoc-v", "assoc-calv"),
         default="binomial",
     )
-    add_params(p, "assoc-v and assoc-calv")
+    add_params(p, "form", ("assoc-v", "assoc-calv"))
 
     p = add("asymptotic", _cmd_asymptotic, "asymptotic value against the recurrence")
     p.add_argument("--n", type=int, required=True)
@@ -391,9 +355,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, required=True, help="truncation order")
     p.add_argument("--t", type=_finite, required=True)
-    p.add_argument("--x", type=_finite, help="applies only to fjk, uy and catalan; default 0.5")
-    add_params(p, "fjk and uy")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    read_by(p, "--x", "which", ("fjk", "uy", "catalan"), 0.5, type=_finite)
+    add_params(p, "which", ("fjk", "uy"))
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = add("weight", _cmd_weight, "orthogonality weight at a point")
     p.add_argument("--x", type=_finite, required=True, help="point in (0, 1728)")
@@ -412,15 +376,31 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # flags is args' own attribute dict: main resolves the flags in it,
+    # and the handler reads them from args
+    flags = vars(args)
+    command, handler, pretty = flags.pop("command"), flags.pop("handler"), flags.pop("pretty")
+    exact_degree, read_by = flags.pop("exact_degree"), flags.pop("read_by")
     try:
-        inputs, results, provenance, code = args.handler(args)
+        # the cap, then an unread flag, then an unprintable input, then the computation
+        if exact_degree and args.n > MAX_EXACT_DEGREE:
+            raise DomainError("--n capped at %d for exact subcommands" % MAX_EXACT_DEGREE)
+        for flag, selector, forms, default in read_by:
+            dest = flag[2:].replace("-", "_")
+            if flags[selector] in forms:
+                if flags[dest] is None:
+                    flags[dest] = default
+            elif flags[dest] is not None:
+                raise DomainError("%s only applies to %s" % (flag, _names(forms)))
+        inputs = {dest: _echo(value) for dest, value in flags.items() if value is not None}
+        results, provenance, code = handler(args)
     except DomainError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 1
     except AtkinError as exc:
         print("%s: %s: %s" % (parser.prog, type(exc).__name__, exc), file=sys.stderr)
         return 2
-    _emit(args.command, inputs, results, provenance, args.pretty)
+    _emit(command, inputs, results, provenance, pretty)
     return code
 
 

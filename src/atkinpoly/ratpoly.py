@@ -5,8 +5,9 @@ generates a monic three-term recurrence from its birth and death rates.
 ``nums``, ascending by degree with trailing zeros trimmed, over their
 least common denominator ``den`` (``den > 0``, ``gcd(den, *nums) == 1``),
 so the zero polynomial is ``nums == ()`` over 1.  It does no arithmetic:
-all exact arithmetic is done in integer kernels on that form (``_recur``,
-``poly_eval``, ``reduce_mod_p``).  Floating evaluation belongs to the
+all exact arithmetic is done in integer kernels on that form, ``_recur``,
+``poly_eval`` and ``reduce_mod_p`` here and ``_coefficient_recurrence``
+and ``_normalize`` in ``atkin``.  Floating evaluation belongs to the
 numeric modules.
 """
 

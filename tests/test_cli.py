@@ -268,6 +268,61 @@ def test_huge_parameters_are_domain_errors(capsys, argv, message):
     assert captured.err == "atkinpoly: error: %s\n" % message
 
 
+_S1 = {"alpha": "1/2", "beta": "-2/3", "c": "7/12"}
+
+# each subcommand and form with only its required flags, and the inputs
+# its envelope echoes: every flag the form reads, given or defaulted
+_ECHOES = (
+    (["atkin", "--n", "2"], {"n": 2, "scale": "original"}),
+    (["assoc-jacobi", "--n", "2", "--alpha", "1/2", "--beta", "-2/3", "--c", "7/12"],
+     {"n": 2, "variant": "V", **_S1}),
+    (["rep-check", "--n", "2", "--which", "rep1"], {"n": 2, "which": "rep1"}),
+    (["rep-check", "--n", "2", "--which", "rep1", "--rep1-coeff", "455/3456"],
+     {"n": 2, "which": "rep1", "rep1_coeff": "455/3456"}),
+    (["rep-check", "--n", "2", "--which", "rep2"], {"n": 2, "which": "rep2"}),
+    (["explicit-check", "--n", "2"], {"n": 2, "form": "binomial"}),
+    (["explicit-check", "--n", "2", "--form", "hypergeometric"], {"n": 2, "form": "hypergeometric"}),
+    (["explicit-check", "--n", "2", "--form", "assoc-v"], {"n": 2, "form": "assoc-v", **_S1}),
+    (["explicit-check", "--n", "2", "--form", "assoc-calv"], {"n": 2, "form": "assoc-calv", **_S1}),
+    (["asymptotic", "--n", "50", "--theta", "1.0"], {"n": 50, "theta": 1.0}),
+    (["asymptotic", "--n", "50", "--theta", "1.0", "--tol", "0.5"], {"n": 50, "theta": 1.0, "tol": 0.5}),
+    (["genfun", "--which", "fjk", "--n", "40", "--t", "0.15"],
+     {"which": "fjk", "n": 40, "t": 0.15, "x": 0.5, "tol": 1e-08, **_S1}),
+    (["genfun", "--which", "uy", "--n", "40", "--t", "0.15"],
+     {"which": "uy", "n": 40, "t": 0.15, "x": 0.5, "tol": 1e-08, **_S1}),
+    (["genfun", "--which", "catalan", "--n", "40", "--t", "0.15"],
+     {"which": "catalan", "n": 40, "t": 0.15, "x": 0.5, "tol": 1e-08}),
+    (["genfun", "--which", "at-zero", "--n", "40", "--t", "0.15"], {"which": "at-zero", "n": 40, "t": 0.15, "tol": 1e-08}),
+    (["genfun", "--which", "at-one", "--n", "40", "--t", "0.15"], {"which": "at-one", "n": 40, "t": 0.15, "tol": 1e-08}),
+    (["weight", "--x", "720"], {"x": 720.0}),
+    (["gram", "--n", "1"], {"n": 1}),
+    (["supersingular", "--pmax", "13"], {"pmax": 13}),
+)
+
+
+@pytest.mark.parametrize("argv, inputs", _ECHOES, ids=[" ".join(argv) for argv, _ in _ECHOES])
+def test_inputs_echo_what_the_form_reads(capsys, argv, inputs):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["inputs"] == inputs
+
+
+@pytest.mark.parametrize("argv", (
+    ["assoc-jacobi", "--n", "200", "--alpha", "1e4400", "--beta", "0", "--c", "1"],
+    ["explicit-check", "--n", "200", "--form", "assoc-v", "--alpha", "1e4400"],
+    ["rep-check", "--n", "200", "--which", "rep1", "--rep1-coeff", "1e4400"],
+))
+def test_unprintable_inputs_are_refused_before_computing(capsys, monkeypatch, argv):
+    # the inputs are echoed before any polynomial is computed, so a value
+    # that cannot be printed is refused at once, not after the degree-200 work
+    for name in ("assoc_V", "assoc_calV", "wimp_V_explicit", "im_calV_explicit", "atkin_via_representation"):
+        monkeypatch.setattr(cli.aj, name, None)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "atkinpoly: error: a rational has more digits than Python's int-to-str limit\n"
+
+
 def test_weight_at_a_subnormal_point(capsys):
     # j/1728 is subnormal here; both weight routes still agree
     code, out = _run(capsys, ["weight", "--x", "1e-315"])

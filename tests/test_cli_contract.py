@@ -1,8 +1,8 @@
 """The command line's failure contract, over a grammar of argv for every
 subcommand but ``selftest``: nothing but SystemExit leaves ``cli.main``,
 the exit code is 0, 1 or 2, stdout is one strict JSON envelope or empty,
-an envelope's inputs name every flag of its argv but --pretty, and
-without an envelope the last line of stderr names the failure.
+an envelope's inputs name every flag of its argv but --pretty and
+nothing but the options of its subcommand, and without an envelope the last line of stderr names the failure.
 
 The grammar draws poles, signed zeros, a subnormal, 1e300, the caps and
 one past them, malformed values, missing required flags and both
@@ -11,6 +11,7 @@ seed.  Hypothesis picks the seeds when installed (derandomized, so
 every run makes the same calls); otherwise the seeds are 0..299.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -89,6 +90,19 @@ def _argv(seed):
     return argv if extra is None else argv + [extra]
 
 
+def _option_dests():
+    """Subcommand -> the dests of its options, but --help and --pretty."""
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return {
+        name: {action.dest for action in sub._actions if action.option_strings} - {"help", "pretty"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+_OPTION_DESTS = _option_dests()
+
+
 def _refuse_constant(name):
     raise ValueError("stdout holds the non-standard JSON token %s" % name)
 
@@ -107,6 +121,8 @@ def _check_contract(argv):
         # every flag given was read: a form refuses the flags it does not read
         flags = {token[2:].split("=")[0].replace("-", "_") for token in argv if token.startswith("--")}
         assert flags - {"pretty"} <= set(envelope["inputs"]), argv
+        # and nothing else: no parser bookkeeping reaches an envelope
+        assert set(envelope["inputs"]) <= _OPTION_DESTS[envelope["command"]], argv
     else:
         assert code != 0, argv
         lines = err.getvalue().splitlines()
