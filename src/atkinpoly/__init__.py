@@ -28,7 +28,7 @@ from .atkin import (
     atkin_rates,
     kz_explicit,
 )
-from .exact import catalan, pochhammer, rat_str
+from .exact import catalan, pfq, pochhammer, rat_str
 from .fp import FpPoly, fp_gcd
 from .genfun import (
     DeltaEpsilon,
@@ -49,7 +49,6 @@ from .hypergeom import (
     f21_near_one,
     f21_profile_seq,
     f21_real,
-    pfq,
     u_and_y_seq,
 )
 from .ratpoly import (

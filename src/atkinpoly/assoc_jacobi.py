@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .hypergeom import _pfq_int
+from .exact import _pfq_int
 from .ratpoly import MonicRecurrence, RatPoly, _recur
 
 _F = Fraction

@@ -31,9 +31,9 @@ t^i gives, with k = i - n and N = n^2,
     c3 = 8 (k - 3)(k - 2)(3k - 8)(3k - 7),
 
 from h_0 = 1, with c0 != 0 for 1 <= i <= n.
-``tools/derive_atkin_coefficient_recurrence.py`` (sympy, run by hand)
-prints c0..c3.  The coefficient of x^(n-i) in A_n is e_i = 1728^i h_i,
-so that
+``tools/derive_atkin_coefficient_recurrence.py`` (sympy, run in CI)
+prints c0..c3 and checks them against ``atkin_normalized``.  The
+coefficient of x^(n-i) in A_n is e_i = 1728^i h_i, so that
 
     n^2 i^2 (i - 2n)^2 e_i = 2 c1 e_{i-1} + 3456 c2 e_{i-2} + 5971968 c3 e_{i-3},
 
@@ -52,8 +52,8 @@ from fractions import Fraction
 
 from .assoc_jacobi import S_SET, Variant, _rates_of
 from .errors import DomainError
-from .hypergeom import _monic_steps, _pfq_int
-from .ratpoly import MonicRecurrence, RatPoly
+from .exact import _pfq_int
+from .ratpoly import MonicRecurrence, RatPoly, _monic_steps
 
 _F = Fraction
 
@@ -230,7 +230,7 @@ def atkin_normalized_value_seq(nmax: int, x: float):
     """Float values of the normalized polynomials at x, degrees 0..nmax.
 
     Runs the three-term recurrence in the value domain, on the float
-    stepper of ``hypergeom``.  Unlike Horner on the exact coefficients,
+    stepper ``ratpoly._monic_steps``.  Unlike Horner on the exact coefficients,
     which cancels catastrophically once the values drop toward 4^-n, this
     stays accurate to a few ulp relative to the solution envelope.
     """

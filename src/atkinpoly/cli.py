@@ -16,9 +16,10 @@ explicit-check assoc-v|assoc-calv and genfun fjk|uy (default S_SET[1] =
 --rep1-coeff only to rep-check rep1 (default 455/3456).
 
 inputs holds every flag the form reads, given or defaulted (--rep1-coeff
-only when given), and nothing else.  Checks run in the order cap, then
-unread flag, then unprintable input, then computation: main makes the
-first three before any handler runs.
+only when given), and nothing else.  Before any handler runs, main checks
+the --n cap MAX_EXACT_DEGREE of the exact subcommands, then unread flags,
+then unprintable inputs; gram --n and supersingular --pmax are bounded
+first thing in their handlers.
 
 Exit codes: 0 on success, 1 on usage errors and on a DomainError, 2 when
 a verification-style check fails, on a NonConvergent and on an

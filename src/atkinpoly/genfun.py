@@ -46,7 +46,7 @@ def _substitution(x: float, t: float) -> float:
 
 def _check_series(t: float, N: int):
     # every series here needs |t| < 1 to converge and at least one term
-    if abs(t) >= 1.0:
+    if not abs(t) < 1.0:
         raise DomainError("|t| must be below 1")
     if N < 1:
         raise DomainError("N must be positive")

@@ -1,20 +1,15 @@
-"""Hypergeometric machinery, exact and numeric.
-
-The exact half is ``pfq``: a terminating pFq at a rational argument,
-summed backward over one common denominator in integers by ``_pfq_int``.
-That integer core feeds every explicit coefficient formula in the
-package, which keeps its parameters over one denominator too.  The
-numeric half provides the Gauss function on the real interval, the two
-solutions U_n and Y_n of the associated recurrence, the C/D combination,
-and the large-n asymptotic formula for the normalized Atkin polynomials.
+"""Hypergeometric machinery in floating point: the Gauss function on the
+real interval, the two solutions U_n and Y_n of the associated recurrence,
+the C/D combination, and the large-n asymptotic formula for the normalized
+Atkin polynomials.  The exact terminating pFq is ``exact.pfq``.
 
 A note on large n: series like 2F1(b - n, n + a; d; x) are numerically
 hopeless when summed directly for n beyond roughly 25, because the terms
 grow to exp(2 n sqrt(x)) before collapsing to an O(1) answer.  Every
 such sequence is therefore run forward from small-n seeds on its
-three-term recurrence, by one float stepper, ``_monic_steps`` (the
-profile, U and Y together, and the Atkin values); that route keeps the
-relative error near machine level even at n = 200.
+three-term recurrence, by one float stepper, ``ratpoly._monic_steps``
+(the profile, U and Y together, and the Atkin values); that route keeps
+the relative error near machine level even at n = 200.
 """
 
 from __future__ import annotations
@@ -23,9 +18,10 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
+from .assoc_jacobi import S_SET
 from .errors import DomainError, NonConvergent
+from .ratpoly import _monic_steps
 
 _SERIES_CAP = 10**6
 # relative truncation tolerance of every Gauss series summed here
@@ -56,53 +52,6 @@ def double_params(params) -> tuple:
         return tuple(float(p) for p in params)
     except OverflowError:
         raise DomainError("alpha, beta and c must lie in the range of a double") from None
-
-
-def pfq(numerator_params, denominator_params, argument) -> Fraction:
-    """Exact sum of a terminating pFq at a rational argument.
-
-    The parameters go over their common denominator D, and ``_pfq_int``
-    sums the series in integers; a single Fraction is made at the end.
-    """
-    nums = [Fraction(v) for v in numerator_params]
-    dens = [Fraction(v) for v in denominator_params]
-    z = Fraction(argument)
-    scale = math.lcm(*(v.denominator for v in nums + dens))
-    big = [v.numerator * (scale // v.denominator) for v in nums + dens]
-    num, den = _pfq_int(big[: len(nums)], big[len(nums) :], scale, z.numerator, z.denominator)
-    return Fraction(num, den)
-
-
-def _pfq_int(big_a, big_b, scale: int, znum: int, zden: int):
-    """(num, den), unreduced, of the terminating pFq with parameters A/D
-    for A in ``big_a`` over B/D for B in ``big_b``, D = ``scale`` > 0, at
-    znum/zden.  The sum is nested as 1 + r_0 (1 + r_1 (1 + ...)), with the
-    ratio of term k+1 to term k r_k = z D^(q-p) prod(A + kD) / ((k + 1)
-    prod(B + kD)), and evaluated from the last term down; den depends only
-    on B, D, zden and the number of terms."""
-    stops = [-a for a in big_a if a % scale == 0 and a <= 0]
-    if not stops:
-        raise DomainError("series does not terminate: no nonpositive-integer numerator parameter")
-    terms = min(stops) // scale  # summation index runs 0..terms
-    for b in big_b:
-        if b % scale == 0 and b <= 0 and -b < terms * scale:
-            pole = Fraction(b, scale)
-            raise DomainError("denominator parameter %s vanishes before the series terminates" % pole)
-    excess = len(big_b) - len(big_a)
-    znum *= scale ** max(excess, 0)
-    zden *= scale ** max(-excess, 0)
-    num = den = 1
-    for k in range(terms - 1, -1, -1):
-        kd = k * scale
-        up = znum
-        for a in big_a:
-            up *= a + kd
-        down = zden * (k + 1)
-        for b in big_b:
-            down *= b + kd
-        den *= down
-        num = num * up + den
-    return num, den
 
 
 def _rgamma(x: float) -> float:
@@ -163,7 +112,9 @@ def _series_f21(a: float, b: float, c: float, x: float):
     raise NonConvergent("2F1 series cap reached at x=%r" % x)
 
 
-def _check_c(c: float):
+def _check_args(a: float, b: float, c: float, x: float):
+    if a != a or b != b or c != c or x != x:
+        raise DomainError("2F1 parameters and argument must not be NaN")
     if c <= 0 and c == math.floor(c):
         raise DomainError("denominator parameter %r is a nonpositive integer" % c)
 
@@ -254,7 +205,7 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     integer.  Exposed separately because the weight function must evaluate
     arbitrarily close to 1, where forming 1-x from x alone loses digits.
     """
-    _check_c(c)
+    _check_args(a, b, c, one_minus_x)
     s = one_minus_x
     if s < 0:
         raise NonConvergent("argument beyond 1")
@@ -303,7 +254,7 @@ def _gauss_at_one(a: float, b: float, c: float) -> RealValue:
 
 def f21_real(a: float, b: float, c: float, x: float) -> RealValue:
     """Gauss 2F1 for real argument x < 1 (x = 1 allowed when c-a-b > 0)."""
-    _check_c(c)
+    _check_args(a, b, c, x)
     if x == 0.0:
         return RealValue(1.0, 0.0)
     if x == 1.0:
@@ -337,26 +288,6 @@ def _monic_coeffs(alpha: float, beta: float, c: float, n: int):
         / ((s - 1.0) * s * s * (s + 1.0))
     )
     return shift, prod
-
-
-def _monic_steps(coeffs, x: float, nmax: int, seeds):
-    """Step solutions of y_{n+1} = (x - shift_n) y_n - prod_n y_{n-1} to n = nmax.
-
-    Each seed is a (values, errors) pair of lists, the first entries of
-    one solution; stepping starts at their last index, with coeffs(n) =
-    (shift_n, prod_n) evaluated once per index for all of them.  The error
-    channel runs the same recurrence on magnitudes so the output bounds
-    stay honest.  Returns the seeds extended and cut to nmax + 1 entries.
-    """
-    for n in range(len(seeds[0][0]) - 1, nmax):
-        shift, prod = coeffs(n)
-        d = x - shift
-        ad, ap = abs(d), abs(prod)
-        for vals, errs in seeds:
-            v = d * vals[n] - prod * vals[n - 1]
-            vals.append(v)
-            errs.append(ad * errs[n] + ap * errs[n - 1] + 2.3e-16 * abs(v))
-    return [(vals[: nmax + 1], errs[: nmax + 1]) for vals, errs in seeds]
 
 
 def _scale_factors(nmax: int, ratio) -> list:
@@ -504,7 +435,7 @@ def atkin_asymptotic(n: int, theta: float) -> float:
     return sign / den * (term_c + term_d)
 
 
-_CANONICAL = (0.5, -2.0 / 3.0, 7.0 / 12.0)
+_CANONICAL = double_params(S_SET[1])
 
 
 def buv_combination(n: int, x: float) -> float:

@@ -26,8 +26,7 @@ from atkinpoly.assoc_jacobi import (
 )
 from atkinpoly.atkin import atkin_normalized
 from atkinpoly.errors import DomainError
-from atkinpoly.exact import pochhammer
-from atkinpoly.hypergeom import pfq
+from atkinpoly.exact import pfq, pochhammer
 from atkinpoly.ratpoly import RatPoly
 from atkinpoly.selftest import rep1_solved_coeff
 from schoolbook import combine, compose

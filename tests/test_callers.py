@@ -1,8 +1,9 @@
 """Production code is what callers use: every public top-level function of
 the package is read by package code, the README or the benchmark's
 workloads, apart from a short allowlist, and every private one by package
-code outside its own definition, so no test-only helper stays in src/; and
-no private parameter gets one fixed value from every caller."""
+code outside its own definition, so no test-only helper stays in src/; no
+private parameter gets one fixed value from every caller; and the exact core
+imports none of the modules built on it."""
 
 import ast
 import pathlib
@@ -115,3 +116,33 @@ def test_no_private_parameter_gets_one_value_at_every_call_site():
     # the scan saw the package: these kernels have several call sites each
     assert all(len(calls[name]) >= 2 for name in ("_series_f21", "_endpoint_seq", "_tanh_sinh_piece"))
     assert fixed == set()
+
+
+# the exact core, and the float, interface and acceptance modules built on it
+_CORE = {"errors", "exact", "fp", "ratpoly", "assoc_jacobi", "atkin", "supersingular"}
+_ABOVE = {"hypergeom", "genfun", "weight", "cli", "selftest"}
+
+
+def _imported_modules(tree):
+    """The last dotted part of every module imported anywhere in ``tree``, a
+    deferred import inside a function included; ``from . import x`` and
+    ``from atkinpoly import x`` import x."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            last = (node.module or "").split(".")[-1]
+            out.add(last)
+            if last in ("", "atkinpoly"):
+                out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_the_core_imports_nothing_built_on_it():
+    modules = {path.stem for path in _PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == _CORE | _ABOVE
+    imports = {name: _imported_modules(ast.parse((_PACKAGE / (name + ".py")).read_text())) for name in _CORE}
+    # the scan saw the imports: the Atkin family steps on the engine
+    assert "ratpoly" in imports["atkin"]
+    assert {name: found & _ABOVE for name, found in imports.items() if found & _ABOVE} == {}

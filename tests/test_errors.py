@@ -25,8 +25,9 @@ from atkinpoly.assoc_jacobi import (
 )
 from atkinpoly.assoc_jacobi import AJParams
 from atkinpoly.atkin import atkin_at_one, atkin_normalized_value_seq, kz_explicit
+from atkinpoly.fp import FpPoly, fp_divmod
 from atkinpoly.genfun import catalan_gen_check, fjk_check, gen_uy_check
-from atkinpoly.hypergeom import buv_combination, f21_near_one, f21_profile_seq, u_and_y_seq
+from atkinpoly.hypergeom import buv_combination, f21_near_one, f21_profile_seq, f21_real, u_and_y_seq
 from atkinpoly.weight import gram, wronskian_residual
 
 _KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
@@ -95,6 +96,7 @@ def test_package_raises_only_the_failure_kinds():
 
 
 _D, _N = errors.DomainError, errors.NonConvergent
+_NAN = float("nan")
 
 # (function, arguments outside what it takes, failure kind, message)
 _OUTSIDE_THE_DOMAIN = (
@@ -115,6 +117,14 @@ _OUTSIDE_THE_DOMAIN = (
     (wronskian_residual, (0.0,), _D, "wronskian_residual requires J in (0, 1)"),
     (gram, (-1, 0), _D, "gram degrees must lie in 0..8, got -1"),
     (gram, (0, 9), _D, "gram degrees must lie in 0..8, got 9"),
+    # a NaN is refused on entry, not after a series runs to its term cap
+    (f21_real, (_NAN, 0.25, 1.5, 0.3), _D, "2F1 parameters and argument must not be NaN"),
+    (f21_near_one, (0.5, 0.5, 1.5, _NAN), _D, "2F1 parameters and argument must not be NaN"),
+    (fjk_check, (0.3, 1.1, 0.9, 0.25, _NAN, 10), _D, "|t| must be below 1"),
+    (catalan_gen_check, (1.5, 0.1, 5), _D, "x must lie in (0, 1)"),
+    # parameters so large that the terms only start to fall past the cap
+    (f21_real, (1e7, 1e7, 1.0, 0.4), _N, "2F1 series cap reached at x=0.4"),
+    (fp_divmod, (FpPoly(5, [1, 1]), FpPoly(5, [5])), ZeroDivisionError, "polynomial division by zero"),
 )
 
 

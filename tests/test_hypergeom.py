@@ -11,7 +11,7 @@ import pytest
 from atkinpoly.assoc_jacobi import S_SET, AJParams, assoc_V, assoc_calV
 from atkinpoly.atkin import _rates, atkin_normalized_value, atkin_normalized_value_seq
 from atkinpoly.errors import AtkinError, DomainError, NonConvergent
-from atkinpoly.exact import pochhammer
+from atkinpoly.exact import pfq, pochhammer
 from atkinpoly.hypergeom import (
     RealValue,
     _monic_coeffs,
@@ -24,7 +24,6 @@ from atkinpoly.hypergeom import (
     f21_near_one,
     f21_profile_seq,
     f21_real,
-    pfq,
     u_and_y_seq,
 )
 from atkinpoly.ratpoly import RatPoly

@@ -1,8 +1,9 @@
 """Derive the recurrence in the coefficient index that ``atkin.atkin`` runs.
 
-    python3 tools/derive_atkin_coefficient_recurrence.py
+    PYTHONPATH=src python3 tools/derive_atkin_coefficient_recurrence.py
 
-Needs sympy; the package does not import this script and no test runs it.
+Needs sympy, so the package does not import this script and tier-1 does not
+run it; a CI job of its own does.
 
 The normalized A_n(x) is sum_{i <= n} h_i x^(n-i) with h_i = [t^i] F G,
 F = 2F1(1/12, 5/12; 1; t) and G = 2F1(-n - 1/12, 7/12 - n; 1 - 2n; t): the
@@ -21,10 +22,18 @@ sum_j [t^j] P_k (i - j)^k h_{i-j}, which gives
     c0 h_i + c1 h_{i-1} + c2 h_{i-2} + c3 h_{i-3} = 0.
 
 The script prints c0..c3, factored, in i and n, and again in k = i - n,
-the form the module docstring of ``atkin`` gives.
+the form the module docstring of ``atkin`` gives.  It then steps c0..c3
+from h_0 = 1 in exact rationals for every n <= 30 and asserts that the
+result is ``atkinpoly.atkin_normalized(n)``, which ``atkin`` builds with
+its own folded integer constants, so the derivation and the recurrence
+the package runs cannot drift apart.
 """
 
+from fractions import Fraction
+
 import sympy as sp
+
+from atkinpoly import atkin_normalized
 
 n, t, i, k = sp.symbols("n t i k")
 R = sp.Rational
@@ -78,6 +87,27 @@ def main():
     print("with k = i - n:")
     for j, c in enumerate(cs):
         print("c%d = %s" % (j, sp.factor(sp.expand(c.subs(i, n + k)))))
+    check(cs, 30)
+
+
+def _evaluator(c):
+    """c as a function of the integers (i, n), in exact rationals."""
+    terms = [(a, b, Fraction(int(q.p), int(q.q))) for (a, b), q in sp.Poly(c, i, n).terms()]
+    return lambda iv, nv: sum(q * iv**a * nv**b for a, b, q in terms)
+
+
+def check(cs, nmax: int):
+    """Step c0 h_i = -(c1 h_{i-1} + c2 h_{i-2} + c3 h_{i-3}) from h_0 = 1,
+    with h_{-1} = h_{-2} = 0, and compare with the package's A_n."""
+    assert len(cs) == 4, "expected a recurrence of order 3, got %d terms" % len(cs)
+    c0, *rest = [_evaluator(c) for c in cs]
+    for nv in range(nmax + 1):
+        h = [Fraction(1)]
+        for iv in range(1, nv + 1):
+            back = sum(cj(iv, nv) * h[iv - j] for j, cj in enumerate(rest, 1) if iv >= j)
+            h.append(-back / c0(iv, nv))
+        assert atkin_normalized(nv).coeffs == tuple(reversed(h)), "c0..c3 disagree with atkin_normalized(%d)" % nv
+    print("c0..c3 stepped from h_0 = 1 give atkin_normalized(n) for n <= %d" % nmax)
 
 
 if __name__ == "__main__":
