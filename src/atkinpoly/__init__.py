@@ -23,8 +23,6 @@ from .atkin import (
     atkin_at_one,
     atkin_at_zero,
     atkin_normalized,
-    atkin_normalized_value,
-    atkin_normalized_value_seq,
     atkin_rates,
     kz_explicit,
 )
@@ -44,6 +42,8 @@ from .genfun import (
 from .hypergeom import (
     RealValue,
     atkin_asymptotic,
+    atkin_normalized_value,
+    atkin_normalized_value_seq,
     buv_combination,
     c_and_d,
     f21_near_one,

@@ -41,19 +41,18 @@ which ``_coefficient_recurrence`` runs in integers.
 ``atkin_normalized(n)`` is rescaled from ``atkin(n)``: the numerators a_j
 of A_n over its denominator d give A_n(1728 y)/1728^n as a_j 1728^j over
 d 1728^n.  The multiplied-out three-term recurrences are a third route,
-in the tests.
+in the tests.  The float values, on these rates, are ``hypergeom``'s.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 from .assoc_jacobi import S_SET, Variant, _rates_of
 from .errors import DomainError
 from .exact import _pfq_int
-from .ratpoly import MonicRecurrence, RatPoly, _monic_steps
+from .ratpoly import MonicRecurrence, RatPoly
 
 _F = Fraction
 
@@ -70,13 +69,6 @@ def atkin_rates(n: int):
 def _rates(m: int):
     """(lambda_m, mu_m) of the normalized family, co-recursive at m = 0."""
     return (_F(5, 12), _F(0)) if m == 0 else atkin_rates(m)
-
-
-@functools.cache
-def _float_coeffs(m: int):
-    # shift lambda_m + mu_m and product lambda_{m-1} mu_m, rounded once each
-    lam, mu = _rates(m)
-    return float(lam + mu), float(_rates(m - 1)[0] * mu)
 
 
 # Per-process caches, append-only and unbounded; filling them is
@@ -224,23 +216,3 @@ def atkin_at_one_seq(nmax: int):
     """Values at 1 of the normalized polynomials of degrees 1..nmax, by
     term ratios in O(nmax) steps."""
     return _endpoint_seq(_F(7, 12), 19, 1, nmax)
-
-
-def atkin_normalized_value_seq(nmax: int, x: float):
-    """Float values of the normalized polynomials at x, degrees 0..nmax.
-
-    Runs the three-term recurrence in the value domain, on the float
-    stepper ``ratpoly._monic_steps``.  Unlike Horner on the exact coefficients,
-    which cancels catastrophically once the values drop toward 4^-n, this
-    stays accurate to a few ulp relative to the solution envelope.
-    """
-    if nmax < 0:
-        raise DomainError("nmax must be nonnegative")
-    # degree 2 from its exact coefficients: a step at m = 1 rounds differently
-    seed = [1.0, x - 5.0 / 12.0, x * x - float(_F(205, 216)) * x + float(_F(935, 10368))]
-    [(vals, _)] = _monic_steps(_float_coeffs, x, nmax, [(seed, [0.0, 0.0, 0.0])])
-    return vals
-
-
-def atkin_normalized_value(n: int, x: float) -> float:
-    return atkin_normalized_value_seq(n, x)[n]

@@ -41,12 +41,11 @@ from .atkin import (
     _three_term,
     atkin,
     atkin_normalized,
-    atkin_normalized_value,
     kz_explicit,
 )
 from .errors import AtkinError, DomainError
 from .exact import rat_str
-from .hypergeom import atkin_asymptotic, double_params
+from .hypergeom import atkin_asymptotic, atkin_normalized_value, double_params
 
 _PRECISION = "ieee-754 double, shortest round-trip decimal"
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .atkin import atkin_at_one_seq, atkin_at_zero_seq, atkin_normalized_value_seq
+from .atkin import atkin_at_one_seq, atkin_at_zero_seq
 from .errors import DomainError
-from .hypergeom import _scale_factors, c_and_d, checked_denominator, double_params, f21_profile_seq, f21_real, u_and_y_seq
+from .hypergeom import (_scale_factors, atkin_normalized_value_seq, c_and_d, checked_denominator, double_params,
+                        f21_profile_seq, f21_real, u_and_y_seq)
 
 
 class DeltaEpsilon(namedtuple("DeltaEpsilon", "t x delta epsilon")):

@@ -1,15 +1,15 @@
-"""Hypergeometric machinery in floating point: the Gauss function on the
-real interval, the two solutions U_n and Y_n of the associated recurrence,
-the C/D combination, and the large-n asymptotic formula for the normalized
-Atkin polynomials.  The exact terminating pFq is ``exact.pfq``.
+"""Floating point on the exact core: the Gauss function on the real
+interval, the solutions U_n and Y_n of the associated recurrence, the C/D
+combination, and the float values and large-n asymptotics of the
+normalized Atkin polynomials.  The exact terminating pFq is ``exact.pfq``.
 
 A note on large n: series like 2F1(b - n, n + a; d; x) are numerically
 hopeless when summed directly for n beyond roughly 25, because the terms
 grow to exp(2 n sqrt(x)) before collapsing to an O(1) answer.  Every
 such sequence is therefore run forward from small-n seeds on its
-three-term recurrence, by one float stepper, ``ratpoly._monic_steps``
-(the profile, U and Y together, and the Atkin values); that route keeps
-the relative error near machine level even at n = 200.
+three-term recurrence, by one float stepper, ``_monic_steps`` (the
+profile, U and Y together, and the Atkin values on ``atkin.atkin_rates``);
+that route keeps the relative error near machine level even at n = 200.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import sys
 from collections import namedtuple
 
 from .assoc_jacobi import S_SET
+from .atkin import atkin_normalized, atkin_rates
 from .errors import DomainError, NonConvergent
-from .ratpoly import _monic_steps
 
 _SERIES_CAP = 10**6
 # relative truncation tolerance of every Gauss series summed here
@@ -115,6 +115,8 @@ def _series_f21(a: float, b: float, c: float, x: float):
 def _check_args(a: float, b: float, c: float, x: float):
     if a != a or b != b or c != c or x != x:
         raise DomainError("2F1 parameters and argument must not be NaN")
+    if math.isinf(a) or math.isinf(b) or math.isinf(c):
+        raise DomainError("2F1 parameters must be finite, got (%r, %r, %r)" % (a, b, c))
     if c <= 0 and c == math.floor(c):
         raise DomainError("denominator parameter %r is a nonpositive integer" % c)
 
@@ -214,6 +216,8 @@ def f21_near_one(a: float, b: float, c: float, one_minus_x: float) -> RealValue:
     if s > 0.5:
         return f21_real(a, b, c, 1.0 - s)
     cab = c - a - b
+    if not math.isfinite(cab):
+        raise DomainError("c - a - b = %r is past the range of a double" % cab)
     if cab == math.floor(cab):
         raise NonConvergent("c-a-b integer: the two-series connection degenerates")
     g1, g2, rel1, rel2, dcab = _connection_gammas(a, b, c)
@@ -271,6 +275,26 @@ def f21_real(a: float, b: float, c: float, x: float) -> RealValue:
 
 # ---------------------------------------------------------------------------
 # recurrence-based sequences
+
+
+def _monic_steps(coeffs, x: float, nmax: int, seeds):
+    """Step solutions of y_{n+1} = (x - shift_n) y_n - prod_n y_{n-1} to n = nmax.
+
+    Each seed is a (values, errors) pair of lists, the first entries of
+    one solution; stepping starts at their last index, with coeffs(n) =
+    (shift_n, prod_n) evaluated once per index for all of them.  The error
+    channel runs the same recurrence on magnitudes so the output bounds
+    stay honest.  Returns the seeds extended and cut to nmax + 1 entries.
+    """
+    for n in range(len(seeds[0][0]) - 1, nmax):
+        shift, prod = coeffs(n)
+        d = x - shift
+        ad, ap = abs(d), abs(prod)
+        for vals, errs in seeds:
+            v = d * vals[n] - prod * vals[n - 1]
+            vals.append(v)
+            errs.append(ad * errs[n] + ap * errs[n - 1] + 2.3e-16 * abs(v))
+    return [(vals[: nmax + 1], errs[: nmax + 1]) for vals, errs in seeds]
 
 
 def _monic_coeffs(alpha: float, beta: float, c: float, n: int):
@@ -451,3 +475,31 @@ def buv_combination(n: int, x: float) -> float:
     (uv, _), (yv, _) = _uy_monic_seqs(af, bf, cf, x, n)
     cx, dx = c_and_d(x)
     return cx.value * uv[n] + dx.value * yv[n]
+
+
+@functools.cache
+def _float_coeffs(m: int):
+    # shift lambda_m + mu_m and product lambda_{m-1} mu_m, rounded once each, for m >= 2
+    lam, mu = atkin_rates(m)
+    return float(lam + mu), float(atkin_rates(m - 1)[0] * mu)
+
+
+def atkin_normalized_value_seq(nmax: int, x: float):
+    """Float values of the normalized polynomials at x, degrees 0..nmax.
+
+    Runs the three-term recurrence in the value domain, on the float
+    stepper ``_monic_steps``.  Unlike Horner on the exact coefficients,
+    which cancels catastrophically once the values drop toward 4^-n, this
+    stays accurate to a few ulp relative to the solution envelope.
+    """
+    if nmax < 0:
+        raise DomainError("nmax must be nonnegative")
+    # degree 2 from its exact coefficients: a step at m = 1 rounds differently
+    a1, a2 = atkin_normalized(1).coeffs, atkin_normalized(2).coeffs
+    seed = [1.0, x + float(a1[0]), x * x + float(a2[1]) * x + float(a2[0])]
+    [(vals, _)] = _monic_steps(_float_coeffs, x, nmax, [(seed, [0.0, 0.0, 0.0])])
+    return vals
+
+
+def atkin_normalized_value(n: int, x: float) -> float:
+    return atkin_normalized_value_seq(n, x)[n]

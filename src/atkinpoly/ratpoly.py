@@ -1,6 +1,6 @@
-"""Dense univariate polynomials over the rationals, and the two steppers of
-a monic three-term recurrence: ``MonicRecurrence`` builds exact members from
-the birth and death rates, ``_monic_steps`` float values and their errors.
+"""Dense univariate polynomials over the rationals, and the exact engine of
+a monic three-term recurrence: ``MonicRecurrence`` builds its members from
+the birth and death rates (the float stepper is ``hypergeom._monic_steps``).
 
 ``RatPoly`` is a value type in one canonical form: integer numerators
 ``nums``, ascending by degree with trailing zeros trimmed, over their
@@ -144,26 +144,6 @@ class MonicRecurrence:
         nxt = _recur(self._members[-1], lam + mu, self._members[-2], self._lam * mu)
         self._lam = lam
         return nxt
-
-
-def _monic_steps(coeffs, x: float, nmax: int, seeds):
-    """Step solutions of y_{n+1} = (x - shift_n) y_n - prod_n y_{n-1} to n = nmax.
-
-    Each seed is a (values, errors) pair of lists, the first entries of
-    one solution; stepping starts at their last index, with coeffs(n) =
-    (shift_n, prod_n) evaluated once per index for all of them.  The error
-    channel runs the same recurrence on magnitudes so the output bounds
-    stay honest.  Returns the seeds extended and cut to nmax + 1 entries.
-    """
-    for n in range(len(seeds[0][0]) - 1, nmax):
-        shift, prod = coeffs(n)
-        d = x - shift
-        ad, ap = abs(d), abs(prod)
-        for vals, errs in seeds:
-            v = d * vals[n] - prod * vals[n - 1]
-            vals.append(v)
-            errs.append(ad * errs[n] + ap * errs[n - 1] + 2.3e-16 * abs(v))
-    return [(vals[: nmax + 1], errs[: nmax + 1]) for vals, errs in seeds]
 
 
 def reduce_mod_p(p: RatPoly, prime: int) -> FpPoly:

@@ -19,13 +19,12 @@ from .atkin import (
     atkin_at_one,
     atkin_at_zero,
     atkin_normalized,
-    atkin_normalized_value,
     kz_explicit,
 )
 from .errors import DomainError, InternalInconsistency
 from .exact import catalan, pochhammer
 from .fp import FpPoly
-from .hypergeom import atkin_asymptotic, buv_combination
+from .hypergeom import atkin_asymptotic, atkin_normalized_value, buv_combination
 from .ratpoly import RatPoly, poly_eval
 
 _F = Fraction

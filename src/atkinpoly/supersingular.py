@@ -28,9 +28,10 @@ def ss_poly(p: int) -> FpPoly:
     if p < 5 or not _is_prime(p):
         raise DomainError("p must be a prime >= 5, got %r" % p)
     delta, eps = p % 3 == 2, p % 4 == 3
-    out = [1]  # ascending in j: t_{i+1}, the coefficient of j^(m-i-1), goes in front
+    out = [1]  # t_0, t_1, ..., t_m, the coefficients of j^m, j^(m-1), ..., 1
     for i in range((p - 1 - 4 * delta - 6 * eps) // 12):
-        out.insert(0, out[0] * 12 * (1 + 6 * eps + 12 * i) * (5 + 6 * eps + 12 * i) * pow(i + 1, -2, p) % p)
+        out.append(out[-1] * 12 * (1 + 6 * eps + 12 * i) * (5 + 6 * eps + 12 * i) * pow(i + 1, -2, p) % p)
+    out.reverse()  # ascending in j
     if delta:  # j = 0
         out = [0] + out
     if eps:  # j = 1728

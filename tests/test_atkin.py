@@ -15,13 +15,12 @@ from atkinpoly.atkin import (
     atkin_at_zero,
     atkin_at_zero_seq,
     atkin_normalized,
-    atkin_normalized_value,
-    atkin_normalized_value_seq,
     atkin_rates,
     kz_explicit,
 )
 from atkinpoly.errors import DomainError
 from atkinpoly.exact import pochhammer
+from atkinpoly.hypergeom import atkin_normalized_value, atkin_normalized_value_seq
 from atkinpoly.ratpoly import RatPoly, poly_eval
 from schoolbook import combine, compose
 

@@ -3,7 +3,7 @@ the package is read by package code, the README or the benchmark's
 workloads, apart from a short allowlist, and every private one by package
 code outside its own definition, so no test-only helper stays in src/; no
 private parameter gets one fixed value from every caller; and the exact core
-imports none of the modules built on it."""
+imports none of the modules built on it and does no float arithmetic."""
 
 import ast
 import pathlib
@@ -146,3 +146,19 @@ def test_the_core_imports_nothing_built_on_it():
     # the scan saw the imports: the Atkin family steps on the engine
     assert "ratpoly" in imports["atkin"]
     assert {name: found & _ABOVE for name, found in imports.items() if found & _ABOVE} == {}
+
+
+def _float_uses(tree):
+    """The lines of every float literal and every ``float()`` call in ``tree``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+    )
+
+
+def test_the_core_does_no_float_arithmetic():
+    found = {name: _float_uses(ast.parse((_PACKAGE / (name + ".py")).read_text())) for name in _CORE}
+    # the scan sees both kinds
+    assert _float_uses(ast.parse("y = float(x)\nz = 0.5")) == [1, 2]
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -501,6 +501,10 @@ def test_values_past_a_double_exit_one_without_traceback():
         ["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--alpha", "-1e6"],
         ["genfun", "--which", "fjk", "--n", "5", "--t", "0.3", "--x", "1e-9", "--alpha", "-171.5"],
         ["genfun", "--which", "uy", "--n", "5", "--t", "0.3", "--x", "1e-9", "--alpha", "-171.5"],
+        # fjk: c - a - b overflows to an infinity; uy: a parameter of its 2F1
+        # calls does, and c - a - b is inf - inf = nan
+        ["genfun", "--which", "fjk", "--n", "3", "--t", "0", "--x", "0.7", "--alpha", "1e308", "--beta", "1e308", "--c", "1e308"],
+        ["genfun", "--which", "uy", "--n", "3", "--t", "0", "--x", "0.7", "--alpha", "1e308", "--beta", "1e308", "--c", "1e308"],
     ):
         proc = _run_fresh(argv)
         assert proc.returncode == 1, argv

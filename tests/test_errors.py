@@ -24,10 +24,17 @@ from atkinpoly.assoc_jacobi import (
     wimp_V_explicit,
 )
 from atkinpoly.assoc_jacobi import AJParams
-from atkinpoly.atkin import atkin_at_one, atkin_normalized_value_seq, kz_explicit
+from atkinpoly.atkin import atkin_at_one, kz_explicit
 from atkinpoly.fp import FpPoly, fp_divmod
 from atkinpoly.genfun import catalan_gen_check, fjk_check, gen_uy_check
-from atkinpoly.hypergeom import buv_combination, f21_near_one, f21_profile_seq, f21_real, u_and_y_seq
+from atkinpoly.hypergeom import (
+    atkin_normalized_value_seq,
+    buv_combination,
+    f21_near_one,
+    f21_profile_seq,
+    f21_real,
+    u_and_y_seq,
+)
 from atkinpoly.weight import gram, wronskian_residual
 
 _KINDS = {"AtkinError", "DomainError", "NonConvergent", "InternalInconsistency"}
@@ -97,6 +104,7 @@ def test_package_raises_only_the_failure_kinds():
 
 _D, _N = errors.DomainError, errors.NonConvergent
 _NAN = float("nan")
+_INF = float("inf")
 
 # (function, arguments outside what it takes, failure kind, message)
 _OUTSIDE_THE_DOMAIN = (
@@ -125,6 +133,13 @@ _OUTSIDE_THE_DOMAIN = (
     # parameters so large that the terms only start to fall past the cap
     (f21_real, (1e7, 1e7, 1.0, 0.4), _N, "2F1 series cap reached at x=0.4"),
     (fp_divmod, (FpPoly(5, [1, 1]), FpPoly(5, [5])), ZeroDivisionError, "polynomial division by zero"),
+    # an infinite parameter is refused on entry, and so is a c - a - b that
+    # overflows, before math.floor meets it
+    (f21_real, (_INF, 0.25, 1.5, 0.3), _D, "2F1 parameters must be finite, got (inf, 0.25, 1.5)"),
+    (f21_near_one, (_INF, 0.25, 1.5, 0.3), _D, "2F1 parameters must be finite, got (inf, 0.25, 1.5)"),
+    (f21_near_one, (-1e308, -1e308, 1e308, 0.3), _D, "c - a - b = inf is past the range of a double"),
+    # at the smallest double, t*delta rounds up to x and x - t*delta is 0
+    (catalan_gen_check, (5e-324, 0.9, 3), _D, "x - t*delta must stay positive"),
 )
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from atkinpoly.assoc_jacobi import S_SET, AJParams, assoc_V, assoc_calV
-from atkinpoly.atkin import _rates, atkin_normalized_value, atkin_normalized_value_seq
+from atkinpoly.atkin import _rates
 from atkinpoly.errors import AtkinError, DomainError, NonConvergent
 from atkinpoly.exact import pfq, pochhammer
 from atkinpoly.hypergeom import (
@@ -19,6 +19,8 @@ from atkinpoly.hypergeom import (
     _seed_scale,
     _series_f21,
     atkin_asymptotic,
+    atkin_normalized_value,
+    atkin_normalized_value_seq,
     buv_combination,
     c_and_d,
     f21_near_one,

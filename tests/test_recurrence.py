@@ -12,9 +12,10 @@ from math import gcd, lcm
 import pytest
 
 from atkinpoly.assoc_jacobi import S_SET, AJParams, Variant, aj_rates, assoc_calV, assoc_V
-from atkinpoly.atkin import atkin, atkin_normalized, atkin_normalized_value_seq, atkin_rates
+from atkinpoly.atkin import atkin, atkin_normalized, atkin_rates
 from atkinpoly.cli import MAX_EXACT_DEGREE
 from atkinpoly.errors import DomainError
+from atkinpoly.hypergeom import atkin_normalized_value_seq
 from atkinpoly.ratpoly import MonicRecurrence, RatPoly, _recur
 from schoolbook import combine, compose
 
