@@ -240,9 +240,7 @@ def _cmd_genfun(args):
 def _cmd_weight(args):
     value = weight.weight_w(args.x)
     results = {"w": value, "precision": _PRECISION}
-    provenance = {
-        "w": "explicit modulus form cross-checked against the angle derivative"
-    }
+    provenance = {"w": "explicit modulus form in the hypergeometric pair (F, F*)"}
     return results, provenance, 0
 
 

@@ -24,7 +24,10 @@ class DeltaEpsilon(namedtuple("DeltaEpsilon", "t x delta epsilon")):
 
 
 def delta_eps(t: float, x: float) -> DeltaEpsilon:
-    """Roots delta <= epsilon of t y^2 - (1+t) y + x, as a DeltaEpsilon."""
+    """Roots of t y^2 - (1+t) y + x, as a DeltaEpsilon: delta is the root
+    that tends to x as t -> 0, epsilon the other."""
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise DomainError("t and x must be finite, got t=%r, x=%r" % (t, x))
     if t == 0.0:
         raise DomainError("t must be nonzero")
     disc = (1.0 + t) * (1.0 + t) - 4.0 * x * t

@@ -494,10 +494,15 @@ def atkin_normalized_value_seq(nmax: int, x: float):
     """
     if nmax < 0:
         raise DomainError("nmax must be nonnegative")
+    if not math.isfinite(x):
+        raise DomainError("x must be finite, got %r" % x)
     # degree 2 from its exact coefficients: a step at m = 1 rounds differently
     a1, a2 = atkin_normalized(1).coeffs, atkin_normalized(2).coeffs
     seed = [1.0, x + float(a1[0]), x * x + float(a2[1]) * x + float(a2[0])]
     [(vals, _)] = _monic_steps(_float_coeffs, x, nmax, [(seed, [0.0, 0.0, 0.0])])
+    # an inf or NaN value makes every later one inf or NaN: the last one tells
+    if not math.isfinite(vals[-1]):
+        raise DomainError("degree-%d value at x=%r is past the range of a double" % (nmax, x))
     return vals
 
 

@@ -1,6 +1,7 @@
 """The orthogonality weight on (0, 1728): the lambda constant, the angle
-map phi and its derivative, the Wronskian consistency check, singular
-endpoint quadrature, and moment/Gram checks for the monic family.
+map phi, the Wronskian consistency check, the weight in its explicit
+modulus form, singular endpoint quadrature, and moment/Gram checks for
+the monic family.
 
 The weight has a j^(-2/3) singularity at 0 and a square-root singularity
 at 1728.  Tanh-sinh quadrature absorbs both without a change of
@@ -94,12 +95,6 @@ def phi(J: float) -> float:
     return _PI / 3.0 + 2.0 * math.atan2(im, re)
 
 
-def _phi_prime(J_cuberoot: float, one_minus_J: float, f: float, fs: float, lam: float) -> float:
-    # the cube root, not J: j^(1/3)/12 keeps the digits a subnormal j/1728 loses
-    re, im = _n_parts(J_cuberoot, f, fs, lam)
-    return lam / _SQRT3 / (J_cuberoot * J_cuberoot) / math.sqrt(one_minus_J) / (re * re + im * im)
-
-
 def wronskian_residual(J: float) -> float:
     """Residual between the series Wronskian of (F, F*) and its closed form."""
     if not 0.0 < J < 1.0:
@@ -123,35 +118,14 @@ def wronskian_residual(J: float) -> float:
 # 1 MB when full.
 @functools.lru_cache(maxsize=4096)
 def _w_core(j: float, dist_right: float) -> float:
-    """Weight value with the distance to 1728 supplied exactly.
-
-    Computes the explicit form and the phi-derivative form from one
-    shared (F, F*) and j^(1/3) evaluation and insists they agree; the two routes
-    differ by nontrivial constant bookkeeping, so their agreement guards
-    the 1728 lambda / pi prefactor.  Memoized: the guard runs once per
-    distinct argument pair, and a failed guard caches nothing.
+    """Weight value with the distance to 1728 supplied exactly: the
+    explicit modulus form 1728 lam / pi j^(-2/3) (1728 - j)^(-1/2) / |N|^2,
+    N = 12 F - lam exp(-i pi/3) j^(1/3) F*.  Memoized per argument pair.
     """
     lam = lambda_star()
-    J = j / 1728.0
-    f, fs = _f_pair_dist(J, dist_right / 1728.0)
-    # explicit form; 12 F - lam exp(-i pi/3) j^(1/3) F* in parts
-    j3 = j ** (1.0 / 3.0)
-    re, im = _n_parts(j3, 12.0 * f, fs, lam)
-    w_explicit = (
-        1728.0
-        * lam
-        / _PI
-        * j ** (-2.0 / 3.0)
-        / math.sqrt(dist_right)
-        / (re * re + im * im)
-    )
-    # change-of-variables route through the angle derivative
-    w_phi = 6.0 / (1728.0 * _PI) * _phi_prime(j3 / 12.0, dist_right / 1728.0, f, fs, lam)
-    if abs(w_explicit - w_phi) > 1e-9 * abs(w_explicit):
-        raise InternalInconsistency(
-            "weight routes disagree at j=%r: %r vs %r" % (j, w_explicit, w_phi)
-        )
-    return w_explicit
+    f, fs = _f_pair_dist(j / 1728.0, dist_right / 1728.0)
+    re, im = _n_parts(j ** (1.0 / 3.0), 12.0 * f, fs, lam)
+    return 1728.0 * lam / _PI * j ** (-2.0 / 3.0) / math.sqrt(dist_right) / (re * re + im * im)
 
 
 def weight_w(j: float) -> float:

@@ -26,8 +26,9 @@ from atkinpoly.assoc_jacobi import (
 from atkinpoly.assoc_jacobi import AJParams
 from atkinpoly.atkin import atkin_at_one, kz_explicit
 from atkinpoly.fp import FpPoly, fp_divmod
-from atkinpoly.genfun import catalan_gen_check, fjk_check, gen_uy_check
+from atkinpoly.genfun import catalan_gen_check, delta_eps, fjk_check, gen_uy_check
 from atkinpoly.hypergeom import (
+    atkin_normalized_value,
     atkin_normalized_value_seq,
     buv_combination,
     f21_near_one,
@@ -140,6 +141,15 @@ _OUTSIDE_THE_DOMAIN = (
     (f21_near_one, (-1e308, -1e308, 1e308, 0.3), _D, "c - a - b = inf is past the range of a double"),
     # at the smallest double, t*delta rounds up to x and x - t*delta is 0
     (catalan_gen_check, (5e-324, 0.9, 3), _D, "x - t*delta must stay positive"),
+    # a NaN or infinite input is refused on entry, not carried into the roots
+    (delta_eps, (_NAN, 0.5), _D, "t and x must be finite, got t=nan, x=0.5"),
+    (delta_eps, (0.1, _NAN), _D, "t and x must be finite, got t=0.1, x=nan"),
+    (delta_eps, (_INF, 0.5), _D, "t and x must be finite, got t=inf, x=0.5"),
+    (delta_eps, (0.1, _INF), _D, "t and x must be finite, got t=0.1, x=inf"),
+    # and so is a float Atkin value past the range of a double
+    (atkin_normalized_value_seq, (3, _NAN), _D, "x must be finite, got nan"),
+    (atkin_normalized_value, (3, _INF), _D, "x must be finite, got inf"),
+    (atkin_normalized_value, (3, 1e200), _D, "degree-3 value at x=1e+200 is past the range of a double"),
 )
 
 

@@ -1,6 +1,8 @@
 """Orthogonality weight: the normalizing constant, the angle map, the
-Wronskian identity, positivity, moments, and the Gram matrix."""
+Wronskian identity, positivity, the weight against its angle derivative
+and against Stieltjes-Perron inversion, moments, and the Gram matrix."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -11,9 +13,9 @@ from atkinpoly.atkin import atkin_rates
 from atkinpoly.errors import DomainError, NonConvergent
 from atkinpoly.weight import (
     _atkin_column,
+    _f_pair_dist,
     _integrate_sing,
     _level_nodes,
-    _phi_prime,
     _tanh_sinh_piece,
     _w_core,
     _weight_column,
@@ -29,9 +31,17 @@ from atkinpoly.weight import (
 LAMBDA_REF = 0.19371911939244263  # gamma-product form, checked both ways
 
 
+def _angle_derivative(J_cuberoot, one_minus_J, f, fs):
+    """phi'(J) = (lam / sqrt 3) J^(-2/3) (1 - J)^(-1/2) / |N|^2, with
+    N = F - lam exp(-i pi/3) J^(1/3) F*, from the cube root of J."""
+    lam = lambda_star()
+    n = f - lam * cmath.exp(-1j * math.pi / 3.0) * J_cuberoot * fs
+    return lam / math.sqrt(3.0) / (J_cuberoot * J_cuberoot) / math.sqrt(one_minus_J) / abs(n) ** 2
+
+
 def phi_prime(J):
-    """Derivative of the angle map on (0, 1), from the kernel the weight uses."""
-    return _phi_prime(J ** (1.0 / 3.0), 1.0 - J, *f_and_fstar(J), lambda_star())
+    """Derivative of the angle map on (0, 1)."""
+    return _angle_derivative(J ** (1.0 / 3.0), 1.0 - J, *f_and_fstar(J))
 
 
 def test_lambda_star_value():
@@ -96,8 +106,8 @@ def test_weight_positive():
 
 def test_weight_near_zero_down_to_subnormal_points():
     # below j/1728 ~ 1e-300 the weight is its leading term, a multiple of
-    # j^(-2/3); for j < 3.85e-305 the quotient j/1728 is subnormal, and the
-    # two routes behind weight_w must still agree
+    # j^(-2/3); for j < 3.85e-305 the quotient j/1728 is subnormal, and
+    # weight_w must still read its powers from j itself
     ref = weight_w(1e-300)
     for j in (1e-304, 1e-310, 1e-315, 1e-320, 5e-324):
         assert weight_w(j) / ref == pytest.approx((j / 1e-300) ** (-2.0 / 3.0), rel=1e-13)
@@ -113,10 +123,35 @@ def test_weight_domain():
 
 
 def test_weight_is_rescaled_angle_derivative():
-    for j in (200.0, 720.0, 1500.0):
-        lhs = weight_w(j)
-        rhs = 6.0 / (1728.0 * math.pi) * phi_prime(j / 1728.0)
-        assert abs(lhs - rhs) <= 1e-12 * rhs
+    # w(j) = 6 phi'(j/1728) / (1728 pi); the derivative is formed from
+    # j^(1/3)/12 and the exact distance to 1728, since j/1728 loses the
+    # digits of a subnormal j, and 1 - j/1728 those of a j next to 1728
+    for j in (5e-324, 1e-300, 200.0, 720.0, 864.0, 1500.0, 1727.9999999999998):
+        dist = 1728.0 - j
+        f, fs = _f_pair_dist(j / 1728.0, dist / 1728.0)
+        rhs = 6.0 / (1728.0 * math.pi) * _angle_derivative(j ** (1.0 / 3.0) / 12.0, dist / 1728.0, f, fs)
+        assert abs(weight_w(j) - rhs) <= 1e-12 * rhs, j
+
+
+def test_weight_is_the_stieltjes_perron_density():
+    """w(j) = -Im Phi(j/1728 + i0) / (1728 pi) for the Stieltjes transform
+    Phi(z) = z^-1 2F1(13/12, 5/12; 1; 1/z) / 2F1(1/12, 5/12; 1; 1/z) of the
+    normalized family's measure (Kaneko-Zagier's ratio; Chihara's
+    inversion), an oracle that shares neither F, F*, lambda nor the 1728
+    lambda / pi prefactor with weight_w."""
+    mpmath = pytest.importorskip("mpmath")
+    points = (5e-324, 1e-310, 1e-300, 1e-100, 1e-10, 0.5, 30.0, 200.0, 720.0,
+              864.0, 1000.0, 1500.0, 1700.0, 1727.0, 1727.9999999999998)
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(1) / 12, mpmath.mpf(5) / 12
+        for j in points:
+            # 1/(x + i0) on the side the limit is taken from
+            u = mpmath.mpc(1, -mpmath.mpf(10) ** -25) / (mpmath.mpf(j) / 1728)
+            big_phi = u * mpmath.hyp2f1(a + 1, b, 1, u) / mpmath.hyp2f1(a, b, 1, u)
+            exact = -big_phi.imag / (1728 * mpmath.pi)
+            # the float series stop at 1e-12: 1.6e-12 at worst at these points
+            # and 2.0e-12 over 102 points of (0, 1728)
+            assert abs(weight_w(j) - exact) <= 5e-12 * exact, j
 
 
 def test_first_moment():
